@@ -1,10 +1,12 @@
 """Shannon and Tsallis MaxEnt solutions and the transport check between them.
 
 The Shannon solver fits multipliers to moment targets by damped Newton
-(bisection fallback for a single constraint).  The Tsallis solution keeps
-the same multipliers and only renormalizes: the transformation carries
-them over unchanged.  `verify_transport` compares both normalized
-densities pointwise through the change of variables, and
+with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
+batched double-exponential pass per step (bisection fallback for a single
+constraint); adaptive QUADPACK then re-checks the solution.  The Tsallis
+solution keeps the same multipliers and only renormalizes: the
+transformation carries them over unchanged.  `verify_transport` compares
+both normalized densities pointwise through the change of variables, and
 `solve_ode_numeric` is an independent fixed-step oracle for the
 closed-form inverse Jacobian.
 """
@@ -28,7 +30,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .qkernel import QIndex, SupportInterval, as_qindex, q_exp
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import DE_MAX_LEVEL, DE_START_LEVEL, QuadratureSpec, de_rule, integrate
 from .transform import ConstraintFn, ConstraintSet, TransformMap, qexp_support
 
 __all__ = [
@@ -113,19 +115,59 @@ class TransportReport:
 
 def _moment_functions(constraints: tuple[ConstraintFn, ...],
                       domain: SupportInterval, quad: QuadratureSpec):
-    """Return moments(lams) -> (normalized moments, partition integral)."""
+    """Return moments(lams) -> (E[h], log Z, Cov(h)) of exp(-lam.h) on `domain`.
 
-    def moments(lams: Sequence[float]) -> tuple[np.ndarray, float]:
-        def weight(u: float) -> float:
-            arg = -sum(l * c.value(u) for l, c in zip(lams, constraints))
-            return _exp_or_inf(arg)
+    All three come from one vectorized pass of the nested double-exponential
+    rule over nodes x_k and the matrix H[i, k] = h_i(x_k), both built once
+    per level and kept for the finest level reached.  The weights are
+    shifted by min_k lam.h(x_k), so log Z is formed in log space.  A pass
+    starts at that finest level and refines until it and the level below
+    it (its even nodes) agree to `quad`'s tolerances; it raises
+    QuadratureError when they never do, or when the weight at the
+    outermost nodes is not negligible (no decay on `domain`).
+    """
+    rule: dict = {}   # the finest level built so far: its level, weights and H
 
-        z = integrate(weight, domain, quad)
-        if not (math.isfinite(z) and z > 0.0):
-            raise QuadratureError(f"partition integral is not finite: {z!r}")
-        m = np.array([integrate(lambda u, c=c: weight(u) * c.value(u), domain, quad)
-                      for c in constraints]) / z
-        return m, z
+    def moments(lams: Sequence[float]) -> tuple[np.ndarray, float, np.ndarray]:
+        lam = np.asarray(lams, dtype=float)
+        for level in range(rule.get("level", DE_START_LEVEL), DE_MAX_LEVEL + 1):
+            # inf and nan from overflow at the outer nodes are checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                if rule.get("level") != level:
+                    rule.clear()    # release the coarser level before building this one
+                    x, w = de_rule(domain, level)
+                    rule.update(level=level, w=w,
+                                H=np.array([c.value(x) for c in constraints]))
+                w, H = rule["w"], rule["H"]
+                f = lam @ H
+                shift = float(np.min(f))
+                if not math.isfinite(shift) or np.isnan(f).any():
+                    raise QuadratureError(
+                        f"exponent lam.h is not finite on the nodes for lam = {lam!r}")
+                np.subtract(shift, f, out=f)
+                np.exp(f, out=f)
+                f *= w
+                hf = H * f
+                z, z_coarse = f.sum(), 2.0 * f[::2].sum()
+                mean = hf.sum(axis=1) / z
+                mean_coarse = 2.0 * hf[:, ::2].sum(axis=1) / z_coarse
+                ends = np.abs(hf[:, [0, -1]]).max(axis=1)
+                scale = np.abs(hf, out=hf).sum(axis=1)
+            if not np.all(np.isfinite(mean)):
+                raise QuadratureError(f"moments overflow on the nodes for lam = {lam!r}")
+            if (max(f[0], f[-1]) > quad.rel_tol * z
+                    or np.any(ends > quad.rel_tol * scale)):
+                raise QuadratureError(
+                    f"weight exp(-lam.h) does not decay on the domain for lam = {lam!r}")
+            if (abs(z - z_coarse) <= quad.rel_tol * z
+                    and np.all(np.abs(mean - mean_coarse)
+                               <= np.maximum(quad.abs_tol, quad.rel_tol * scale / z))):
+                d = np.subtract(H, mean[:, None], out=hf)
+                cov = (d * f) @ d.T / z
+                return mean, math.log(z) - shift, cov
+        raise QuadratureError(
+            f"double-exponential levels {DE_MAX_LEVEL - 1} and {DE_MAX_LEVEL} "
+            f"disagree for lam = {lam!r}")
 
     return moments
 
@@ -180,9 +222,11 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
                   quad: QuadratureSpec) -> ShannonSolution:
     """Fit multipliers so the exponential-family moments hit the targets.
 
-    Damped Newton with a finite-difference moment Jacobian; single-
-    constraint problems fall back to bracketed bisection when Newton
-    stalls.  mu is then fixed by normalization.
+    Damped Newton on E[h](lam) = K with the exact Jacobian -Cov(h), both
+    taken from one batched double-exponential pass per trial point;
+    single-constraint problems fall back to bracketed bisection when
+    Newton stalls.  mu = log Z comes from the same pass, and adaptive
+    QUADPACK re-checks the normalization and every moment of the result.
     """
     if cs.targets is None:
         raise ConfigurationError("solve_shannon requires targets on the ConstraintSet")
@@ -201,9 +245,9 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     converged = False
 
     try:
-        gap, _ = moments(lams)
-        gap = gap - targets
-    except (QuadratureError, OverflowError):
+        mean, log_z, cov = moments(lams)
+        gap = mean - targets
+    except QuadratureError:
         gap = None
 
     for _ in range(60):
@@ -214,29 +258,23 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
         if norm < 1e-11:
             converged = True
             break
-        jac = np.empty((m, m))
         try:
-            for j in range(m):
-                delta = 1e-6 * max(1.0, abs(lams[j]))
-                up = lams.copy()
-                up[j] += delta
-                down = lams.copy()
-                down[j] -= delta
-                jac[:, j] = (moments(up)[0] - moments(down)[0]) / (2.0 * delta)
-            step = np.linalg.solve(jac, -gap)
-        except (QuadratureError, OverflowError, np.linalg.LinAlgError):
+            step = np.linalg.solve(cov, gap)   # d E[h] / d lam = -Cov(h)
+        except np.linalg.LinAlgError:
             break
         accepted = False
         damping = 1.0
         while damping >= 1.0 / 1024.0:
             trial = lams + damping * step
             try:
-                trial_gap = moments(trial)[0] - targets
-            except (QuadratureError, OverflowError):
+                trial_mean, trial_log_z, trial_cov = moments(trial)
+            except QuadratureError:
                 damping /= 2.0
                 continue
+            trial_gap = trial_mean - targets
             if float(np.max(np.abs(trial_gap))) < norm:
-                lams, gap, accepted = trial, trial_gap, True
+                lams, gap, log_z, cov = trial, trial_gap, trial_log_z, trial_cov
+                accepted = True
                 break
             damping /= 2.0
         if not accepted:
@@ -247,26 +285,30 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
             lam = _bisection_fallback(cs.constraints[0], float(targets[0]),
                                       domain, quad, trace)
             lams = np.array([lam])
+            _, log_z, _ = moments(lams)
         else:
             raise SolverError("Newton stagnated on the moment conditions",
                               trace=trace)
 
-    _, z = moments(lams)
-    mu = math.log(z)
     fitted = ConstraintSet(cs.constraints, tuple(float(v) for v in lams),
                            targets=cs.targets)
-    solution = ShannonSolution(mu=mu, cs=fitted, domain=domain)
+    solution = ShannonSolution(mu=float(log_z), cs=fitted, domain=domain)
     _check_shannon_invariants(solution, quad)
     return solution
 
 
 def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
     tol = 10.0 * quad.rel_tol
-    total = integrate(s.density, s.domain, quad)
+    # The re-check integrates 10x tighter than the tolerance it asserts.  At
+    # `quad` itself QUADPACK misjudges its error at isolated multipliers:
+    # for lam = 1/2.7416 on the half-line it is 7.3e-9 off while claiming
+    # 8.6e-11, and would refuse a solution that is exact to rounding.
+    check = quad.tightened(10.0)
+    total = integrate(s.density, s.domain, check)
     if abs(total - 1.0) > tol:
         raise SolverError(f"normalization check failed: integral {total!r}")
     for c, k in zip(s.cs.constraints, s.cs.targets):
-        moment = integrate(lambda u: s.density(u) * c.value(u), s.domain, quad)
+        moment = integrate(lambda u: s.density(u) * c.value(u), s.domain, check)
         if abs(moment - k) > tol * max(1.0, abs(k)):
             raise SolverError(f"moment check failed: got {moment!r}, want {k!r}")
 

@@ -27,6 +27,7 @@ from .errors import (
     EdgeSingularityError,
     RangeError,
     SingularIndexError,
+    UnsupportedRegimeError,
 )
 from .qkernel import QIndex, SupportInterval, as_qindex, q_exp
 from .quadrature import QuadratureSpec, _quad, path_integral
@@ -290,6 +291,14 @@ def _check_path_free_of_zeros(spec: TransformSpec, a: float, b: float) -> None:
         ref = g > 0.0
 
 
+def _require_classical_shift(spec: TransformSpec) -> None:
+    """At q = 1 the map is the shift u = x - anchor_x + anchor_u only for
+    c = 0; otherwise g = 1 + c e^{lam.h} and the shift would be wrong."""
+    if spec.c != 0.0:
+        raise UnsupportedRegimeError(
+            f"the map at q = 1 is implemented only for c = 0, got c = {spec.c!r}")
+
+
 def u_of_x(x: float, spec: TransformSpec) -> float:
     """Antiderivative of 1/g anchored at (anchor_x, anchor_u).
 
@@ -298,6 +307,7 @@ def u_of_x(x: float, spec: TransformSpec) -> float:
     """
     qi = spec.q
     if qi.is_classical():
+        _require_classical_shift(spec)
         return x - spec.anchor_x + spec.anchor_u
     phi = _cutoff_margin(qi, spec.cs)
     if not phi(x) > 0.0:
@@ -334,6 +344,7 @@ def u_image(spec: TransformSpec,
     """
     qi = spec.q
     if qi.is_classical():
+        _require_classical_shift(spec)
         if interval is None:
             return (-math.inf, math.inf)
         shift = spec.anchor_u - spec.anchor_x
@@ -371,6 +382,7 @@ def x_of_u(u: float, spec: TransformSpec) -> float:
     """Inverse of u_of_x, closed-form when available, else bracketed solve."""
     qi = spec.q
     if qi.is_classical():
+        _require_classical_shift(spec)
         return u - spec.anchor_u + spec.anchor_x
     a = spec.cs.linear_coefficient()
     if a is not None and spec.c == 0.0:

@@ -175,6 +175,15 @@ def test_domain_errors_exit_three():
     assert "tail" in cp.stderr or "diverges" in cp.stderr
 
 
+def test_classical_map_with_constant_is_unsupported():
+    # g = 1 + c e^x at q = 1, so u(1) would be 0.5472, not the shift's 1
+    cp = run_cli("transform", "--q", "1", "--c", "0.5", "--lambda", "1", "--h",
+                 "identity", "--grid", "0:2:3")
+    assert cp.returncode == 3
+    assert cp.stdout == ""
+    assert "c = 0.5" in cp.stderr
+
+
 def test_env_var_sets_default_tolerance(tmp_path: Path):
     import os
     env = dict(os.environ, QBRIDGE_QUAD_RTOL="1e-8")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -104,6 +105,24 @@ def test_shannon_infeasible_targets(quad):
         qb.solve_shannon(square_cs(target=-1.0), REAL_LINE, quad)
     with pytest.raises(qb.FeasibilityError):
         qb.solve_shannon(identity_cs(target=-2.0), HALF_LINE, quad)
+
+
+def test_shannon_infeasible_two_constraint_target(quad):
+    # E[x^2] < E[x]^2 is no variance at all: no density on the line has it
+    cs = ConstraintSet((ConstraintFn.identity(), ConstraintFn.square()),
+                       (1.0, 1.0), targets=(1.0, 0.5))
+    with pytest.raises(qb.SolverError):
+        qb.solve_shannon(cs, REAL_LINE, quad)
+
+
+def test_shannon_solution_holds_plain_floats(quad):
+    cs = ConstraintSet((ConstraintFn.identity(), ConstraintFn.square()),
+                       (1.0, 1.0), targets=(0.5, 1.0))
+    s = qb.solve_shannon(cs, REAL_LINE, quad)
+    values = [s.mu, *s.cs.multipliers]
+    assert all(type(v) is float for v in values)
+    assert json.loads(json.dumps({"mu": s.mu, "lams": list(s.cs.multipliers)})) == \
+        {"mu": s.mu, "lams": list(s.cs.multipliers)}
 
 
 def test_shannon_requires_targets(quad):

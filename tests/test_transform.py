@@ -106,6 +106,15 @@ def test_general_form_classical_limit_with_constant():
                                                       rel=1e-15)
 
 
+def test_classical_map_with_constant_is_unsupported():
+    spec = make_spec(1.0, c=0.5)
+    for call in (lambda: qb.u_of_x(1.0, spec), lambda: qb.x_of_u(1.0, spec),
+                 lambda: qb.u_image(spec), lambda: TransformMap.from_spec(spec)):
+        with pytest.raises(qb.UnsupportedRegimeError):
+            call()
+    assert qb.u_of_x(1.0, make_spec(1.0)) == 1.0
+
+
 def test_general_form_value():
     # e_q(-1) = 0.25 at q = 0.5; 4*(0.25^1.5/1.5 + 0.2)
     spec = make_spec(0.5, c=0.2)
