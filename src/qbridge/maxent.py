@@ -223,7 +223,8 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     """Fit multipliers so the exponential-family moments hit the targets.
 
     Damped Newton on E[h](lam) = K with the exact Jacobian -Cov(h), both
-    taken from one batched double-exponential pass per trial point;
+    taken from one batched double-exponential pass per trial point, and one
+    more full Newton step once the gap test passes;
     single-constraint problems fall back to bracketed bisection when
     Newton stalls.  mu = log Z comes from the same pass, and adaptive
     QUADPACK re-checks the normalization and every moment of the result.
@@ -255,16 +256,19 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
             break
         norm = float(np.max(np.abs(gap)))
         trace.append((tuple(lams), norm))
-        if norm < 1e-11:
-            converged = True
+        if converged:
             break
+        # Past the gap test one full Newton step still polishes lam: with a
+        # near-singular Cov(h) (a narrow Gaussian away from 0) a gap of 1e-11
+        # leaves lam, and mu = log Z with it, off by ~2e-8 relative.
+        converged = norm < 1e-11
         try:
             step = np.linalg.solve(cov, gap)   # d E[h] / d lam = -Cov(h)
         except np.linalg.LinAlgError:
             break
         accepted = False
         damping = 1.0
-        while damping >= 1.0 / 1024.0:
+        while damping >= (1.0 if converged else 1.0 / 1024.0):
             trial = lams + damping * step
             try:
                 trial_mean, trial_log_z, trial_cov = moments(trial)

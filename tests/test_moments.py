@@ -101,6 +101,7 @@ def _check_gaussian_fit(s, k1, k2):
 @given(k1=st.floats(-5.0, 5.0), log_var=st.floats(-3.0, 2.0))
 @example(k1=5.0, log_var=0.0)       # K = (5, 26)
 @example(k1=0.0, log_var=-3.0)      # K = (0, 1e-3)
+@example(k1=-2.0, log_var=-3.0)     # near-singular Cov(h): needs the Newton polish
 def test_two_constraint_real_line_fit_or_solver_error(k1, log_var):
     k2 = k1 * k1 + 10.0 ** log_var
     try:
