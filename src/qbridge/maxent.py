@@ -4,7 +4,8 @@ The Shannon solver fits multipliers to moment targets by damped Newton
 with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
 batched double-exponential pass per step (bisection fallback for a single
 constraint); adaptive QUADPACK then re-checks the solution.  The Tsallis
-solution keeps the same multipliers and only renormalizes: the
+solution keeps the same multipliers and only renormalizes, on the
+support bounded by the roots of its margin polynomial: the
 transformation carries them over unchanged.  `verify_transport` compares
 both normalized densities pointwise through the change of variables, and
 `solve_ode_numeric` is an independent fixed-step oracle for the
@@ -85,11 +86,11 @@ class TsallisSolution:
     def density(self, x: float) -> float:
         if not self.support.contains(x):
             return 0.0
-        margin = 1.0 - (1.0 - self.q.q) * self.cs.potential(x)
-        if margin <= 0.0:
+        t = self.cs.potential(x)
+        if 1.0 - (1.0 - self.q.q) * t <= 0.0:
             # only reachable inside the root-finding shell of a support edge
             return 0.0
-        return self.C * q_exp(-self.cs.potential(x), self.q)
+        return self.C * q_exp(-t, self.q)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 shift = float(np.min(f))
                 if not math.isfinite(shift) or np.isnan(f).any():
                     raise QuadratureError(
-                        f"exponent lam.h is not finite on the nodes for lam = {lam!r}")
+                        f"exponent lam.h is not finite on the nodes for lam = {lam.tolist()}")
                 np.subtract(shift, f, out=f)
                 np.exp(f, out=f)
                 f *= w
@@ -154,11 +155,11 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 ends = np.abs(hf[:, [0, -1]]).max(axis=1)
                 scale = np.abs(hf, out=hf).sum(axis=1)
             if not np.all(np.isfinite(mean)):
-                raise QuadratureError(f"moments overflow on the nodes for lam = {lam!r}")
+                raise QuadratureError(f"moments overflow on the nodes for lam = {lam.tolist()}")
             if (max(f[0], f[-1]) > quad.rel_tol * z
                     or np.any(ends > quad.rel_tol * scale)):
                 raise QuadratureError(
-                    f"weight exp(-lam.h) does not decay on the domain for lam = {lam!r}")
+                    f"weight exp(-lam.h) does not decay on the domain for lam = {lam.tolist()}")
             if (abs(z - z_coarse) <= quad.rel_tol * z
                     and np.all(np.abs(mean - mean_coarse)
                                <= np.maximum(quad.abs_tol, quad.rel_tol * scale / z))):
@@ -167,7 +168,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 return mean, math.log(z) - shift, cov
         raise QuadratureError(
             f"double-exponential levels {DE_MAX_LEVEL - 1} and {DE_MAX_LEVEL} "
-            f"disagree for lam = {lam!r}")
+            f"disagree for lam = {lam.tolist()}")
 
     return moments
 
@@ -377,10 +378,10 @@ def normalize_tsallis(q: QIndex | float, cs: ConstraintSet,
                     tail_exponent=1.0 / (qi.q - 1.0))
 
     def shape(x: float) -> float:
-        margin = 1.0 - (1.0 - qi.q) * cs.potential(x)
-        if margin <= 0.0 and qi.q > 1.0:
+        t = cs.potential(x)
+        if 1.0 - (1.0 - qi.q) * t <= 0.0 and qi.q > 1.0:
             return 0.0  # root-finding shell of the edge
-        return q_exp(-cs.potential(x), qi)
+        return q_exp(-t, qi)
 
     z = integrate(shape, support, quad)
     if not (math.isfinite(z) and z > 0.0):

@@ -11,14 +11,21 @@ which for the canonical choice c = 0 collapses to
     g(x) = (1 - (1-q) lam.h(x)) / (2-q),
 
 positive for q < 2, negative for q > 2, and singular only at q = 2.
+
+For the polynomial observables accepted here lam.h is one polynomial,
+whose coefficients ConstraintSet combines once, and so is the margin
+phi(x) = 1 - (1-q) lam.h(x): the support is the interval around the
+anchor between consecutive roots of phi where it stays positive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy.optimize import bisect, brentq
 
 from .errors import (
@@ -48,8 +55,6 @@ __all__ = [
     "expand_g_near_q1",
     "g_near_q2",
 ]
-
-WORKING_WINDOW = (-1e6, 1e6)
 
 
 def _horner(coeffs: Sequence[float], x: float) -> float:
@@ -129,8 +134,11 @@ class ConstraintSet:
         return len(self.constraints)
 
     def potential(self, x: float) -> float:
-        """dot(lam, h(x))."""
-        return sum(m * c.value(x) for m, c in zip(self.multipliers, self.constraints))
+        """dot(lam, h(x)), by one Horner pass over the combined polynomial."""
+        acc = 0.0
+        for c in self._descending:
+            acc = acc * x + c
+        return acc
 
     def potential_slope(self, x: float) -> float:
         """d/dx dot(lam, h(x))."""
@@ -138,6 +146,12 @@ class ConstraintSet:
 
     def combined_coefficients(self) -> tuple[float, ...]:
         """Coefficients of dot(lam, h) as a single polynomial, trailing zeros trimmed."""
+        return self._ascending
+
+    # Computed once per instance.  A cached_property lives in the instance
+    # __dict__, not in a dataclass field, so ==, hash and repr ignore it.
+    @cached_property
+    def _ascending(self) -> tuple[float, ...]:
         n = max(len(c.coefficients) for c in self.constraints)
         out = [0.0] * n
         for m, c in zip(self.multipliers, self.constraints):
@@ -146,6 +160,10 @@ class ConstraintSet:
         while len(out) > 1 and out[-1] == 0.0:
             out.pop()
         return tuple(out)
+
+    @cached_property
+    def _descending(self) -> tuple[float, ...]:
+        return self._ascending[::-1]
 
     def linear_coefficient(self) -> float | None:
         """a when dot(lam, h(x)) == a*x exactly, else None."""
@@ -161,13 +179,19 @@ def _cutoff_margin(q: QIndex, cs: ConstraintSet) -> Callable[[float], float]:
     return lambda x: 1.0 - one_minus_q * cs.potential(x)
 
 
-def qexp_support(q: QIndex | float, cs: ConstraintSet, anchor: float = 0.0,
-                 window: tuple[float, float] = WORKING_WINDOW) -> SupportInterval:
-    """Maximal interval around `anchor` where 1 - (1-q) dot(lam, h(x)) > 0.
+def qexp_support(q: QIndex | float, cs: ConstraintSet,
+                 anchor: float = 0.0) -> SupportInterval:
+    """Maximal interval around `anchor` where phi(x) = 1 - (1-q) dot(lam, h(x)) > 0.
 
-    Edges are located by an outward geometric scan followed by bisection;
-    a side with no sign change inside the working window counts as
-    unbounded.  Cutoff edges are open (the density vanishes there).
+    phi is a polynomial, so its edges are among its roots (numpy.roots).
+    The real part of every root is a candidate.  Walking outward from the
+    anchor, a candidate is an edge when phi is not positive between it
+    and the next candidate (or past it, for the last one): a root where
+    phi touches zero without crossing, or a complex pair, is passed over.
+    Each edge is polished by bisection on a tiny bracket around the root
+    (xtol 1e-14), or on the whole bracket between the two sign checks if
+    the tiny one does not change sign.  A side with no edge is unbounded.
+    Cutoff edges are open (the density vanishes there).
     """
     qi = as_qindex(q)
     if qi.is_classical():
@@ -177,28 +201,31 @@ def qexp_support(q: QIndex | float, cs: ConstraintSet, anchor: float = 0.0,
     if not phi(anchor) > 0.0:
         raise ConfigurationError(
             f"anchor {anchor!r} lies outside the q-exponential support")
+    coeffs = [-(1.0 - qi.q) * a for a in cs.combined_coefficients()]
+    coeffs[0] += 1.0
+    # ascending, with the equal real parts of a complex pair merged
+    candidates = sorted(set(np.roots(coeffs[::-1]).real.tolist())) if len(coeffs) > 1 else []
 
-    def edge(direction: float, window_edge: float) -> float:
-        scale = max(1.0, abs(anchor))
-        step = 1e-6 * scale
-        prev = anchor
-        while True:
-            x = anchor + direction * step
-            if direction * (x - window_edge) >= 0.0:
-                x = window_edge
-            val = phi(x)
-            if val == 0.0:
-                return x
-            if val < 0.0:
-                lo, hi = (prev, x) if direction > 0 else (x, prev)
-                return bisect(phi, lo, hi, xtol=1e-14, rtol=8.9e-16)
-            if x == window_edge:
-                return direction * math.inf
-            prev = x
-            step *= 1.05
+    def edge(outward: list[float], direction: float) -> float:
+        inside = anchor             # phi > 0 here
+        for k, r in enumerate(outward):
+            probe = (0.5 * (r + outward[k + 1]) if k + 1 < len(outward)
+                     else r + direction * max(1.0, abs(r)))
+            if phi(probe) > 0.0:
+                inside = probe
+                continue
+            width = 1e-9 * max(1.0, abs(r))
+            tight_in = r - direction * width
+            tight_out = r + direction * width
+            if (direction * (tight_in - inside) > 0.0 and phi(tight_in) > 0.0
+                    and direction * (probe - tight_out) > 0.0 and phi(tight_out) <= 0.0):
+                inside, probe = tight_in, tight_out
+            lo, hi = sorted((inside, probe))
+            return bisect(phi, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        return direction * math.inf
 
-    lo = edge(-1.0, window[0])
-    hi = edge(+1.0, window[1])
+    lo = edge([r for r in reversed(candidates) if r < anchor], -1.0)
+    hi = edge([r for r in candidates if r > anchor], +1.0)
     return SupportInterval(lo, hi, closed_lower=False, closed_upper=False)
 
 
@@ -378,8 +405,15 @@ def u_image(spec: TransformSpec,
     return (u_lo, u_hi) if u_lo <= u_hi else (u_hi, u_lo)
 
 
-def x_of_u(u: float, spec: TransformSpec) -> float:
-    """Inverse of u_of_x, closed-form when available, else bracketed solve."""
+def x_of_u(u: float, spec: TransformSpec, *,
+           support: SupportInterval | None = None,
+           image: tuple[float, float] | None = None) -> float:
+    """Inverse of u_of_x, closed-form when available, else bracketed solve.
+
+    The bracketed solve needs the support and its image u_image(spec);
+    a caller that already holds them (TransformMap) passes them in, and
+    otherwise they are computed here.
+    """
     qi = spec.q
     if qi.is_classical():
         _require_classical_shift(spec)
@@ -394,7 +428,9 @@ def x_of_u(u: float, spec: TransformSpec) -> float:
             raise RangeError(f"u = {u!r} is beyond the representable range "
                              f"of the inverse map") from None
         return (1.0 - phi_anchor * decay) / (one_minus_q * a)
-    lo, hi = u_image(spec)
+    if support is None:
+        support = qexp_support(qi, spec.cs, anchor=spec.anchor_x)
+    lo, hi = image if image is not None else u_image(spec, support)
     if not (lo < u < hi):
         raise RangeError(
             f"u = {u!r} is outside the attained range ({lo!r}, {hi!r})")
@@ -404,7 +440,6 @@ def x_of_u(u: float, spec: TransformSpec) -> float:
     def f(x: float) -> float:
         return u_of_x(x, spec) - u
 
-    support = qexp_support(qi, spec.cs, anchor=spec.anchor_x)
     f_anchor = spec.anchor_u - u
     increasing = g_general(spec.anchor_x, spec) > 0.0
     go_up = (u > spec.anchor_u) == increasing
@@ -492,7 +527,7 @@ class TransformMap:
                 "inverse Jacobian vanishes at the anchor; pick another anchor or c")
         orientation = 1 if g_anchor > 0.0 else -1
         return cls(spec=spec, orientation=orientation, support=support,
-                   u_image=u_image(spec))
+                   u_image=u_image(spec, support))
 
     def g(self, x: float) -> float:
         return g_general(x, self.spec)
@@ -508,7 +543,7 @@ class TransformMap:
         return u_of_x(x, self.spec)
 
     def x(self, u: float) -> float:
-        return x_of_u(u, self.spec)
+        return x_of_u(u, self.spec, support=self.support, image=self.u_image)
 
     def u_range(self) -> tuple[float, float]:
         return self.u_image

@@ -1,0 +1,166 @@
+"""The support from the roots of phi, and lam.h as one polynomial.
+
+The properties here check qexp_support by evaluating phi(x) = 1 - (1-q)
+lam.h(x) directly, with no root finder, so they stay independent of the
+numpy.roots call they check.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import qbridge as qb
+import qbridge.transform as T
+from qbridge import ConstraintFn, ConstraintSet, QIndex, TransformMap, TransformSpec
+
+EPS = sys.float_info.epsilon
+
+
+def _margin_cs(q, c, delta, lam, sign):
+    """A constraint set whose margin at q < 1 is (x-c)^2 + sign*delta."""
+    s = 1.0 / ((1.0 - q) * lam)    # 1 - (1-q) lam h = (x-c)^2 + sign*delta
+    coeffs = (s * (1.0 - sign * delta - c * c), s * 2.0 * c, -s)
+    return ConstraintSet((ConstraintFn.polynomial(coeffs),), (lam,))
+
+
+# ----------------------------------------------------------- regression cases
+
+@pytest.mark.parametrize("c,delta,lam", [
+    (5.0, 1e-7, 0.5), (7.3, 3e-6, 1.7), (10.0, 1e-6, 1.0),
+    (12.9, 1e-5, 0.8), (15.0, 1e-7, 2.0), (8.61, 4.2e-7, 1.23),
+])
+def test_near_repeated_root_edge(c, delta, lam):
+    # phi = (x-c)^2 - delta: the support ends at c - sqrt(delta), inside a
+    # window of width 2 sqrt(delta) where phi is negative
+    support = qb.qexp_support(0.5, _margin_cs(0.5, c, delta, lam, -1.0))
+    edge = c - math.sqrt(delta)
+    assert support.upper == pytest.approx(edge, rel=1e-9)
+    assert support.lower == -math.inf
+
+
+@pytest.mark.parametrize("c,delta", [(10.0, 1e-9), (5.0, 1e-12), (-3.0, 1e-10)])
+def test_touching_margin_has_no_edge(c, delta):
+    # phi = (x-c)^2 + delta stays positive: its complex pair is no edge
+    support = qb.qexp_support(0.5, _margin_cs(0.5, c, delta, 1.0, +1.0))
+    assert (support.lower, support.upper) == (-math.inf, math.inf)
+
+
+def test_edge_beyond_a_million_is_finite():
+    support = qb.qexp_support(0.5, ConstraintSet((ConstraintFn.identity(),), (1e-7,)))
+    assert support.lower == -math.inf
+    assert support.upper == pytest.approx(2e7, rel=1e-14)
+
+
+# ------------------------------------------------------------------ property
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+def _noise(coeffs, x):
+    """A bound on the rounding error of evaluating the polynomial at x."""
+    return 16.0 * len(coeffs) * EPS * sum(abs(a) * abs(x) ** k for k, a in enumerate(coeffs))
+
+
+def _signed(lo, hi):
+    """0, or a float of either sign with magnitude in [lo, hi] (no underflow)."""
+    return st.one_of(st.just(0.0), st.builds(lambda m, s: m * s, st.floats(lo, hi),
+                                             st.sampled_from((-1.0, 1.0))))
+
+
+_coefficient = _signed(0.01, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.floats(0.05, 2.95).filter(lambda v: abs(v - 1.0) > 1e-3),
+       coeffs=st.lists(_coefficient, min_size=2, max_size=5),
+       lam=st.floats(0.1, 2.0), anchor=st.floats(-2.0, 2.0))
+@example(q=0.5, coeffs=[1.0, 2.0, -1.0], lam=1.0, anchor=0.0)    # phi = (x-1)^2 / 2 touches 0
+@example(q=0.5, coeffs=[0.0, 0.0, 0.0, 0.0, 1.0], lam=1.0, anchor=0.0)
+@example(q=1.5, coeffs=[0.0, 1.0], lam=1.0, anchor=0.0)
+def test_support_edges_are_sign_changes_of_phi(q, coeffs, lam, anchor):
+    assume(any(a != 0.0 for a in coeffs[1:]))
+    cs = ConstraintSet((ConstraintFn.polynomial(coeffs),), (lam,))
+    phi_coeffs = [-(1.0 - q) * a for a in cs.combined_coefficients()]
+    phi_coeffs[0] += 1.0
+    slope_coeffs = [k * a for k, a in enumerate(phi_coeffs)][1:]
+
+    def phi(x):
+        return _horner(phi_coeffs, x)
+
+    assume(phi(anchor) > _noise(phi_coeffs, anchor))
+    support = qb.qexp_support(q, cs, anchor=anchor)
+    assert support.lower < anchor < support.upper
+    for edge, direction in ((support.lower, -1.0), (support.upper, 1.0)):
+        if math.isinf(edge):
+            # no sign change out to 1e8 on a geometric grid
+            far = anchor + direction * np.geomspace(1e-6, 1e8, 4000)
+            assert all(phi(float(x)) > 0.0 for x in far)
+            continue
+        step = 1e-6 * max(1.0, abs(edge))
+        inside, outside = edge - direction * step, edge + direction * step
+        assert phi(inside) > 0.0
+        # the edge is a root of phi to bisection's precision
+        slope = abs(_horner(slope_coeffs, edge))
+        assert abs(phi(edge)) <= _noise(phi_coeffs, edge) + slope * 2e-14 * max(1.0, abs(edge))
+        if slope * step > 1e3 * _noise(phi_coeffs, outside):
+            # a simple crossing; where phi only touches 0, or crosses back
+            # within `step`, the edge is still the first zero of phi
+            assert phi(outside) <= 0.0
+        between = np.linspace(anchor, inside, 2001)
+        assert all(phi(float(x)) > 0.0 for x in between)
+
+
+# ------------------------------------------------------- one-Horner potential
+
+@settings(max_examples=150, deadline=None)
+@given(polys=st.lists(st.lists(_signed(1e-3, 10.0), min_size=2, max_size=6),
+                      min_size=1, max_size=3),
+       lams=st.lists(_signed(1e-3, 5.0), min_size=3, max_size=3),
+       x=_signed(1e-6, 50.0))
+def test_potential_is_the_sum_of_the_terms(polys, lams, x):
+    assume(all(any(a != 0.0 for a in p[1:]) for p in polys))
+    constraints = tuple(ConstraintFn.polynomial(p) for p in polys)
+    cs = ConstraintSet(constraints, lams[:len(polys)])
+    terms = [m * c.value(x) for m, c in zip(cs.multipliers, constraints)]
+    # both sides round each power term: the bound is on their magnitudes
+    scale = sum(abs(m * a) * abs(x) ** k
+                for m, p in zip(cs.multipliers, polys) for k, a in enumerate(p))
+    assert abs(cs.potential(x) - math.fsum(terms)) <= 16.0 * EPS * scale
+
+
+def test_cached_coefficients_leave_equality_hash_and_repr_alone():
+    fns = (ConstraintFn.identity(), ConstraintFn.polynomial((1.0, -2.0, 0.5)))
+    used = ConstraintSet(fns, (0.3, -1.2), targets=(1.0, 2.0))
+    fresh = ConstraintSet(fns, (0.3, -1.2), targets=(1.0, 2.0))
+    used.potential(1.5)
+    used.combined_coefficients()
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert "_descending" not in repr(used) and "_ascending" not in repr(used)
+    assert used.combined_coefficients() == (-1.2, 0.3 + 2.4, -0.6)
+
+
+# ------------------------------------------------- TransformMap owns its support
+
+def test_map_inversion_reuses_the_stored_support(monkeypatch):
+    cs = ConstraintSet((ConstraintFn.polynomial((0.0, 0.0, 0.0, 0.0, 1.0)),), (1.0,))
+    spec = TransformSpec(QIndex(0.5), cs)
+    calls = []
+    real = T.qexp_support
+    monkeypatch.setattr(T, "qexp_support",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    map_ = TransformMap.from_spec(spec)
+    assert len(calls) == 1
+    u = map_.u(0.7)
+    assert map_.x(u) == pytest.approx(0.7, rel=1e-9)
+    assert len(calls) == 1
+    assert map_.x(u) == qb.x_of_u(u, spec)
