@@ -64,7 +64,16 @@ class SolverError(QBridgeError):
 
 
 class FeasibilityError(SolverError):
-    """The requested moment targets cannot be met on the given domain."""
+    """The requested moment targets cannot be met on the given domain.
+
+    `certificate` holds multipliers lam with lam.K below the infimum of
+    lam.h over the domain, when the solver found such a proof.
+    """
+
+    def __init__(self, message: str, trace: list | None = None,
+                 certificate: tuple[float, ...] | None = None):
+        super().__init__(message, trace=trace)
+        self.certificate = certificate
 
 
 class InstabilityError(SolverError):

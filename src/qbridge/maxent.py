@@ -3,7 +3,11 @@
 The Shannon solver fits multipliers to moment targets by damped Newton
 with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
 batched double-exponential pass per step (bisection fallback for a single
-constraint); adaptive QUADPACK then re-checks the solution.  The Tsallis
+constraint); adaptive QUADPACK then re-checks the solution, split at the
+density's modes.  Targets outside the moment set end at a dual
+certificate: multipliers lam with lam.K below the infimum of lam.h over
+the domain, found inside the moment pass and raised as
+FeasibilityError.  The Tsallis
 solution keeps the same multipliers and only renormalizes, on the
 support bounded by the roots of its margin polynomial: the
 transformation carries them over unchanged.  `verify_transport` compares
@@ -114,8 +118,94 @@ class TransportReport:
     factor_max_residual: float | None = None
 
 
+# A certificate must beat the infimum by this much, relative to the terms of
+# lam.h at the minimiser and to |lam| |K|: far above the rounding of either
+# side, far below the 3.5e-7 by which K = (1, 1 - 1e-6) for x, x^2 misses.
+_CERTIFICATE_RTOL = 1e-12
+
+
+def _critical_points(cs: ConstraintSet, domain: SupportInterval) -> list[float]:
+    """Real parts of the roots of (lam.h)' strictly inside `domain`, ascending.
+
+    Every real critical point of lam.h is among them; a complex pair adds
+    its real part, a point where (lam.h)' does not change sign.
+    """
+    coeffs = cs.combined_coefficients()
+    if len(coeffs) < 3:
+        return []
+    slope = [k * a for k, a in enumerate(coeffs)][:0:-1]   # descending
+    lo, hi = domain.lower, domain.upper
+    return sorted({r for r in np.roots(slope).real.tolist() if lo < r < hi})
+
+
+def _potential_minimum(cs: ConstraintSet, domain: SupportInterval) -> tuple[float, float]:
+    """Infimum of lam.h over `domain` and a point where it is attained.
+
+    lam.h is one polynomial, so the infimum is its value at a finite
+    endpoint or at a critical point, and the candidates are those and
+    `_critical_points` (an extra candidate cannot lie below the minimum).
+    An infinite end toward which lam.h falls without bound gives
+    (-inf, that end).
+    """
+    coeffs = cs.combined_coefficients()
+    degree = len(coeffs) - 1
+    lo, hi = domain.lower, domain.upper
+    if degree > 0:
+        if math.isinf(hi) and coeffs[-1] < 0.0:
+            return -math.inf, hi
+        if math.isinf(lo) and coeffs[-1] * (-1.0) ** degree < 0.0:
+            return -math.inf, lo
+    points = [x for x in (lo, hi) if math.isfinite(x)] + _critical_points(cs, domain)
+    return min((cs.potential(x), x) for x in points or [0.0])
+
+
+def _modes(cs: ConstraintSet, domain: SupportInterval) -> list[float]:
+    """Interior local minimisers of lam.h, the modes of exp(-lam.h), ascending.
+
+    (lam.h)' keeps one sign between consecutive critical points, so a
+    critical point is a minimiser where that sign turns from - to +.
+    """
+    points = _critical_points(cs, domain)
+    if not points:
+        return []
+
+    def between(a: float, b: float) -> float:
+        if math.isinf(a):
+            return b - max(1.0, abs(b))
+        if math.isinf(b):
+            return a + max(1.0, abs(a))
+        return 0.5 * (a + b)
+
+    fences = [domain.lower, *points, domain.upper]
+    slopes = [cs.potential_slope(between(a, b)) for a, b in zip(fences, fences[1:])]
+    return [r for r, left, right in zip(points, slopes, slopes[1:]) if left < 0.0 < right]
+
+
+def _refute_targets(constraints: tuple[ConstraintFn, ...], lam: np.ndarray,
+                    targets: np.ndarray, domain: SupportInterval) -> None:
+    """Raise FeasibilityError when lam.K lies below the infimum of lam.h.
+
+    Every density on `domain` has E[lam.h] at or above that infimum, so no
+    density meets E[h] = K: K lies outside the moment set, and the dual
+    log Z + lam.K is unbounded below along lam.
+    """
+    cs = ConstraintSet(constraints, tuple(lam.tolist()))
+    low, at = _potential_minimum(cs, domain)
+    if low == -math.inf:
+        return
+    value = float(lam @ targets)
+    terms = sum(abs(a * at ** k) for k, a in enumerate(cs.combined_coefficients()))
+    margin = _CERTIFICATE_RTOL * (terms + float(np.linalg.norm(lam) * np.linalg.norm(targets)))
+    if value < low - margin:
+        raise FeasibilityError(
+            f"targets {targets.tolist()} lie outside the moment set on the domain: "
+            f"lam = {lam.tolist()} gives lam.K = {value!r}, below the infimum "
+            f"{low!r} of lam.h (at x = {at!r})", certificate=tuple(lam.tolist()))
+
+
 def _moment_functions(constraints: tuple[ConstraintFn, ...],
-                      domain: SupportInterval, quad: QuadratureSpec):
+                      domain: SupportInterval, quad: QuadratureSpec,
+                      targets: np.ndarray | None = None):
     """Return moments(lams) -> (E[h], log Z, Cov(h)) of exp(-lam.h) on `domain`.
 
     All three come from one vectorized pass of the nested double-exponential
@@ -126,11 +216,17 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
     it (its even nodes) agree to `quad`'s tolerances; it raises
     QuadratureError when they never do, or when the weight at the
     outermost nodes is not negligible (no decay on `domain`).
+
+    With `targets` K, a pass whose lam.K falls below that shift compares
+    lam.K with the exact infimum of lam.h and raises FeasibilityError when
+    lam proves K infeasible.  The shift is never below the infimum, so a
+    pass with lam.K at or above it skips the comparison and loses nothing.
     """
     rule: dict = {}   # the finest level built so far: its level, weights and H
 
     def moments(lams: Sequence[float]) -> tuple[np.ndarray, float, np.ndarray]:
         lam = np.asarray(lams, dtype=float)
+        gate = None if targets is None else float(lam @ targets)   # lam.K
         for level in range(rule.get("level", DE_START_LEVEL), DE_MAX_LEVEL + 1):
             # inf and nan from overflow at the outer nodes are checked below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -145,6 +241,9 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 if not math.isfinite(shift) or np.isnan(f).any():
                     raise QuadratureError(
                         f"exponent lam.h is not finite on the nodes for lam = {lam.tolist()}")
+                if gate is not None and gate < shift:
+                    _refute_targets(constraints, lam, targets, domain)
+                    gate = None     # the infimum does not change with the level
                 np.subtract(shift, f, out=f)
                 np.exp(f, out=f)
                 f *= w
@@ -228,7 +327,12 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     more full Newton step once the gap test passes;
     single-constraint problems fall back to bracketed bisection when
     Newton stalls.  mu = log Z comes from the same pass, and adaptive
-    QUADPACK re-checks the normalization and every moment of the result.
+    QUADPACK re-checks the normalization and every moment of the result,
+    integrating between the modes of the density.
+
+    Raises FeasibilityError, carrying the Newton trace and the multipliers
+    as `certificate`, as soon as a trial point's lam.K falls below the
+    infimum of lam.h over the domain: no density then has E[h] = K.
     """
     if cs.targets is None:
         raise ConfigurationError("solve_shannon requires targets on the ConstraintSet")
@@ -241,11 +345,39 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
                 f"square observable cannot average to non-positive target {k!r}")
 
     targets = np.array(cs.targets)
-    moments = _moment_functions(cs.constraints, domain, quad)
+    moments = _moment_functions(cs.constraints, domain, quad, targets=targets)
     lams = np.array([1.0 / (1.0 + abs(k)) for k in cs.targets])
     trace: list = []
-    converged = False
+    try:
+        lams, log_z, converged = _newton(moments, lams, targets, trace)
+    except FeasibilityError as exc:   # a moment pass found a certificate
+        exc.trace = trace
+        raise
 
+    if not converged:
+        if m == 1:
+            lam = _bisection_fallback(cs.constraints[0], float(targets[0]),
+                                      domain, quad, trace)
+            lams = np.array([lam])
+            _, log_z, _ = moments(lams)
+        else:
+            raise SolverError("Newton stagnated on the moment conditions",
+                              trace=trace)
+
+    fitted = ConstraintSet(cs.constraints, tuple(float(v) for v in lams),
+                           targets=cs.targets)
+    solution = ShannonSolution(mu=float(log_z), cs=fitted, domain=domain)
+    _check_shannon_invariants(solution, quad)
+    return solution
+
+
+def _newton(moments, lams: np.ndarray, targets: np.ndarray,
+            trace: list) -> tuple[np.ndarray, float | None, bool]:
+    """Damped Newton on E[h](lam) = K from `lams`, appending (lam, gap) to
+    `trace`; returns the last accepted lam, its log Z and whether the gap
+    test passed."""
+    converged = False
+    log_z = None
     try:
         mean, log_z, cov = moments(lams)
         gap = mean - targets
@@ -284,22 +416,7 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
             damping /= 2.0
         if not accepted:
             break
-
-    if not converged:
-        if m == 1:
-            lam = _bisection_fallback(cs.constraints[0], float(targets[0]),
-                                      domain, quad, trace)
-            lams = np.array([lam])
-            _, log_z, _ = moments(lams)
-        else:
-            raise SolverError("Newton stagnated on the moment conditions",
-                              trace=trace)
-
-    fitted = ConstraintSet(cs.constraints, tuple(float(v) for v in lams),
-                           targets=cs.targets)
-    solution = ShannonSolution(mu=float(log_z), cs=fitted, domain=domain)
-    _check_shannon_invariants(solution, quad)
-    return solution
+    return lams, log_z, converged
 
 
 def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
@@ -309,11 +426,21 @@ def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
     # for lam = 1/2.7416 on the half-line it is 7.3e-9 off while claiming
     # 8.6e-11, and would refuse a solution that is exact to rounding.
     check = quad.tightened(10.0)
-    total = integrate(s.density, s.domain, check)
+    # Split at the modes, the interior local minimisers of lam.h: QUADPACK's
+    # map of an infinite range puts no node on a narrow peak far from 0 (for
+    # K = (100, 10001) for x, x^2 it returns 0.0 on the real line), and a
+    # split at one of two deep wells would hide the other one the same way.
+    fences = [s.domain.lower, *_modes(s.cs, s.domain), s.domain.upper]
+    parts = [SupportInterval(a, b) for a, b in zip(fences, fences[1:])]
+
+    def integral(f: Callable[[float], float]) -> float:
+        return sum(integrate(f, part, check) for part in parts)
+
+    total = integral(s.density)
     if abs(total - 1.0) > tol:
         raise SolverError(f"normalization check failed: integral {total!r}")
     for c, k in zip(s.cs.constraints, s.cs.targets):
-        moment = integrate(lambda u: s.density(u) * c.value(u), s.domain, check)
+        moment = integral(lambda u: s.density(u) * c.value(u))
         if abs(moment - k) > tol * max(1.0, abs(k)):
             raise SolverError(f"moment check failed: got {moment!r}, want {k!r}")
 
@@ -356,15 +483,19 @@ def _tail_feasibility(qi: QIndex, cs: ConstraintSet,
 def normalize_tsallis(q: QIndex | float, cs: ConstraintSet,
                       quad: QuadratureSpec,
                       domain: SupportInterval | None = None,
-                      anchor: float = 0.0) -> TsallisSolution:
+                      anchor: float = 0.0, *,
+                      support: SupportInterval | None = None) -> TsallisSolution:
     """Normalize C e_q(-dot(lam, h(x))) on the cutoff support.
 
     Multipliers are taken verbatim from `cs`; only the normalization
     constant is computed.  `domain` optionally restricts the support
-    (e.g. a half-line for mean constraints).
+    (e.g. a half-line for mean constraints).  `support` is the cutoff
+    support around `anchor` when the caller already holds it (as
+    `TransformMap.support` does); otherwise it is computed here.
     """
     qi = as_qindex(q)
-    support = qexp_support(qi, cs, anchor=anchor)
+    if support is None:
+        support = qexp_support(qi, cs, anchor=anchor)
     if domain is not None:
         support = support.intersect(domain)
     _tail_feasibility(qi, cs, support)

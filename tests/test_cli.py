@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "qbridge", *args]
@@ -111,6 +113,27 @@ def test_verify_square_reports_transport_failure():
     assert by_name["round_trip"]["passed"]
     assert not by_name["transport_identity"]["passed"]
     assert by_name["transport_identity"]["max_residual"] > 1e-3
+
+
+@pytest.mark.parametrize("extra", [(), ("--c", "0.2")])
+def test_verify_computes_the_support_at_most_twice(monkeypatch, capsys, extra):
+    import qbridge.maxent
+    import qbridge.transform
+    from qbridge import cli
+    calls = []
+    original = qbridge.transform.qexp_support
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (qbridge.transform, qbridge.maxent):
+        monkeypatch.setattr(module, "qexp_support", counted)
+    cli.main(["verify", "--q", "0.5", "--lambda", "1", "--h", "square",
+              "--domain=-inf:inf", *extra])
+    doc = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["passed"] for c in doc["checks"]}["round_trip"]
+    assert 1 <= len(calls) <= 2
 
 
 def test_sample_deterministic(tmp_path: Path):

@@ -138,3 +138,34 @@ def test_half_line_targets_solved(k):
     s = _solve((X,), (k,), HALF_LINE)
     assert s.cs.multipliers[0] == pytest.approx(1.0 / k, rel=1e-6)
     assert s.mu == pytest.approx(math.log(k), rel=1e-8, abs=1e-8)
+
+
+# The Newton fit succeeds on these; QUADPACK's map of the whole line missed
+# the unit-width peak far from 0 (integral 0.0 and 3.3e-99) until the
+# re-check split the line at the mode.
+@pytest.mark.parametrize("k1,k2", [(100.0, 10001.0), (50.0, 2501.0)])
+def test_far_narrow_gaussian_passes_the_recheck(k1, k2):
+    s = _solve((X, X2), (k1, k2), REAL_LINE)
+    assert s.cs.multipliers == pytest.approx((-k1, 0.5), rel=1e-10)
+    assert s.mu == pytest.approx(0.5 * math.log(2.0 * math.pi) + 0.5 * k1 * k1, rel=1e-11)
+
+
+def test_deep_double_well_passes_the_recheck():
+    # exp(20.48 x^2 - 0.902 x^4): two wells at x = +-3.37 behind a barrier of
+    # height 116; a split at one mode alone leaves QUADPACK half the mass
+    planted = (-20.47862165133519, 0.902357483388095)
+    s = _solve((X2, X4), (11.322712548031843, 128.75913959591335), REAL_LINE)
+    assert s.cs.multipliers == pytest.approx(planted, rel=1e-8)
+
+
+@pytest.mark.parametrize("observables,lams,domain,modes", [
+    ((X, X2), (-2.0, 1.0), REAL_LINE, [1.0]),
+    ((X2, X4), (-2.0, 1.0), REAL_LINE, [-1.0, 1.0]),
+    ((X, X2, X4), (1.0, 1.0, 1.0), REAL_LINE, [-0.3854]),     # one real critical point
+    ((X, X2), (-2.0, 1.0), SupportInterval(1.0, 5.0), []),   # the minimiser is an end
+    ((X,), (0.7,), HALF_LINE, []),
+])
+def test_modes_are_the_interior_local_minimisers(observables, lams, domain, modes):
+    from qbridge.maxent import _modes
+    got = _modes(ConstraintSet(observables, lams), domain)
+    assert got == pytest.approx(modes, abs=1e-4)
