@@ -3,7 +3,6 @@
 from .averaging import (
     EscortWeight,
     Observable,
-    SupportedDensity,
     escort_norm,
     mean_ct,
     mean_linear,
@@ -25,14 +24,12 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .maxent import (
-    LinearODE,
     ShannonSolution,
     TransportReport,
     TsallisSolution,
-    check_square_integrable,
     normalize_tsallis,
     sample_and_test,
-    solve_ode_numeric,
+    shannon_partner,
     solve_shannon,
     verify_transport,
 )
@@ -47,7 +44,6 @@ from .transform import (
     g_canonical,
     g_general,
     g_near_q2,
-    jacobian,
     ode_residual,
     qexp_support,
     u_image,

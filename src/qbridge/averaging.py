@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NonIntegrableError, QuadratureError
-from .qkernel import QIndex, SupportInterval, as_qindex
+from .qkernel import QIndex, as_qindex
 from .quadrature import QuadratureSpec, integrate
 
 __all__ = [
     "Observable",
     "EscortWeight",
-    "SupportedDensity",
     "mean_linear",
     "escort_norm",
     "mean_ct",
@@ -62,17 +61,6 @@ class EscortWeight:
         if not (math.isfinite(self.x_q) and self.x_q > 0.0):
             raise NonIntegrableError(f"escort normalizer must be positive and "
                                      f"finite, got {self.x_q!r}")
-
-
-@dataclass(frozen=True)
-class SupportedDensity:
-    """Adapter pairing a bare evaluator with its support interval."""
-
-    evaluator: Callable[[float], float]
-    support: SupportInterval
-
-    def density(self, x: float) -> float:
-        return self.evaluator(x) if self.support.contains(x) else 0.0
 
 
 def mean_linear(p, a: Observable, quad: QuadratureSpec) -> float:

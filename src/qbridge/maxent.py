@@ -10,10 +10,10 @@ the domain, found inside the moment pass and raised as
 FeasibilityError.  The Tsallis
 solution keeps the same multipliers and only renormalizes, on the
 support bounded by the roots of its margin polynomial: the
-transformation carries them over unchanged.  `verify_transport` compares
-both normalized densities pointwise through the change of variables, and
-`solve_ode_numeric` is an independent fixed-step oracle for the
-closed-form inverse Jacobian.
+transformation carries them over unchanged.  `shannon_partner` builds the
+Shannon solution with those multipliers on the image of that support
+under u, and `verify_transport` compares both normalized densities
+pointwise through the change of variables.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from scipy.optimize import bisect
 from .errors import (
     ConfigurationError,
     FeasibilityError,
-    InstabilityError,
     NonNormalizableError,
     QuadratureError,
     SolverError,
@@ -36,21 +35,19 @@ from .errors import (
 )
 from .qkernel import QIndex, SupportInterval, as_qindex, q_exp
 from .quadrature import DE_MAX_LEVEL, DE_START_LEVEL, QuadratureSpec, de_rule, integrate
-from .transform import ConstraintFn, ConstraintSet, TransformMap, qexp_support
+from .transform import ConstraintFn, ConstraintSet, TransformMap, qexp_support, u_image
 
 __all__ = [
     "QuadratureSpec",
     "integrate",
     "ShannonSolution",
     "TsallisSolution",
-    "LinearODE",
     "TransportReport",
     "solve_shannon",
     "normalize_tsallis",
+    "shannon_partner",
     "verify_transport",
-    "solve_ode_numeric",
     "sample_and_test",
-    "check_square_integrable",
 ]
 
 _EXP_ARG_MAX = 700.0  # beyond this exp() overflows a double
@@ -95,16 +92,6 @@ class TsallisSolution:
             # only reachable inside the root-finding shell of a support edge
             return 0.0
         return self.C * q_exp(-t, self.q)
-
-
-@dataclass(frozen=True)
-class LinearODE:
-    """g' + P(x) g = Q(x) with initial condition (x0, g0)."""
-
-    P: Callable[[float], float]
-    Q: Callable[[float], float]
-    x0: float
-    g0: float
 
 
 @dataclass(frozen=True)
@@ -520,6 +507,20 @@ def normalize_tsallis(q: QIndex | float, cs: ConstraintSet,
     return TsallisSolution(C=1.0 / z, q=qi, cs=cs, support=support)
 
 
+def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
+                    quad: QuadratureSpec) -> ShannonSolution:
+    """The Shannon solution matched to `tsallis` through `map_`.
+
+    Same multipliers: exp(-lam.h(u)) normalized on the image of the
+    Tsallis support under u(x), open at both ends.
+    """
+    u_lo, u_hi = u_image(map_.spec, tsallis.support)
+    domain = SupportInterval(u_lo, u_hi, closed_lower=False, closed_upper=False)
+    cs = tsallis.cs
+    z = integrate(lambda u: _exp_or_inf(-cs.potential(u)), domain, quad)
+    return ShannonSolution(mu=math.log(z), cs=cs, domain=domain)
+
+
 def _same_constraints(a: ConstraintSet, b: ConstraintSet) -> bool:
     return (len(a.constraints) == len(b.constraints)
             and all(ca.coefficients == cb.coefficients
@@ -562,36 +563,6 @@ def verify_transport(s: ShannonSolution, t: TsallisSolution, map_: TransformMap,
                            profile=tuple(profile),
                            passed=max_residual < tol,
                            factor_max_residual=factor_max)
-
-
-def solve_ode_numeric(ode: LinearODE, x_end: float,
-                      steps: int) -> list[tuple[float, float]]:
-    """Fixed-step 4th-order integration of g' + P g = Q from (x0, g0).
-
-    Used solely as an independent oracle against the closed-form inverse
-    Jacobian; raises InstabilityError if |g| exceeds 1e12.
-    """
-    if steps < 100:
-        raise ConfigurationError("use at least 100 steps for the oracle")
-    h = (x_end - ode.x0) / steps
-    x = float(ode.x0)
-    g = float(ode.g0)
-    out = [(x, g)]
-
-    def rhs(xv: float, gv: float) -> float:
-        return ode.Q(xv) - ode.P(xv) * gv
-
-    for i in range(steps):
-        k1 = rhs(x, g)
-        k2 = rhs(x + 0.5 * h, g + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, g + 0.5 * h * k2)
-        k4 = rhs(x + h, g + h * k3)
-        g += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = ode.x0 + (i + 1) * h
-        if abs(g) > 1e12:
-            raise InstabilityError(f"solution blew up at x = {x!r}: |g| > 1e12")
-        out.append((x, g))
-    return out
 
 
 def sample_and_test(t: TsallisSolution, map_: TransformMap, n: int,
@@ -638,14 +609,3 @@ def sample_and_test(t: TsallisSolution, map_: TransformMap, n: int,
     ks = max(float(np.max(ranks / n - cdf)),
              float(np.max(cdf - (ranks - 1.0) / n)))
     return x, ks
-
-
-def check_square_integrable(h: ConstraintFn, density: Callable[[float], float],
-                            support: SupportInterval,
-                            quad: QuadratureSpec) -> bool:
-    """Numerical L2 check of an observable against a density."""
-    try:
-        value = integrate(lambda x: density(x) * h.value(x) ** 2, support, quad)
-    except QuadratureError:
-        return False
-    return math.isfinite(value)

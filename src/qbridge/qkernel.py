@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, RangeError
 
 __all__ = [
+    "EPS_Q1",
+    "EPS_Q2",
     "QIndex",
     "SupportInterval",
     "as_qindex",
@@ -24,31 +26,28 @@ __all__ = [
 ]
 
 
+# Guard bands: inside |q - 1| < EPS_Q1 evaluation takes the classical
+# exp/log branch (the power form loses all precision there); inside
+# |q - 2| < EPS_Q2 the transform refuses to run rather than return ~1/eps.
+EPS_Q1 = 1e-9
+EPS_Q2 = 1e-6
+
+
 @dataclass(frozen=True)
 class QIndex:
-    """Entropic index q with guard thresholds near q = 1 and q = 2.
-
-    Inside |q - 1| < eps_q1 evaluation routes to the classical exp/log
-    branch (the raw power form loses all precision there).  Inside
-    |q - 2| < eps_q2 the change-of-variables machinery refuses to run
-    instead of silently returning ~1/eps magnitudes.
-    """
+    """Entropic index q, with the guard bands EPS_Q1 and EPS_Q2."""
 
     q: float
-    eps_q1: float = 1e-9
-    eps_q2: float = 1e-6
 
     def __post_init__(self):
         if not math.isfinite(self.q):
             raise ConfigurationError(f"entropic index must be finite, got {self.q!r}")
-        if not (self.eps_q1 > 0.0 and self.eps_q2 > 0.0):
-            raise ConfigurationError("guard thresholds eps_q1, eps_q2 must be positive")
 
     def is_classical(self) -> bool:
-        return abs(self.q - 1.0) < self.eps_q1
+        return abs(self.q - 1.0) < EPS_Q1
 
     def is_singular_for_transform(self) -> bool:
-        return abs(self.q - 2.0) < self.eps_q2
+        return abs(self.q - 2.0) < EPS_Q2
 
 
 def as_qindex(q: QIndex | float) -> QIndex:
@@ -100,30 +99,32 @@ class SupportInterval:
             hi, chi = self.upper, self.closed_upper and other.closed_upper
         return SupportInterval(lo, hi, closed_lower=clo, closed_upper=chi)
 
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
 
 def q_exp(z: float, q: QIndex | float) -> float:
     """Deformed exponential e_q(z) = [1 + (1-q) z]^{1/(1-q)}.
 
-    Returns exp(z) on the classical branch, 0 beyond the q < 1 cutoff,
-    and raises DomainError at or past the q > 1 pole z = 1/(q-1).
+    Returns exp(z) on the classical branch and 0 beyond the q < 1 cutoff;
+    raises DomainError at or past the q > 1 pole z = 1/(q-1), and raises
+    RangeError where the value overflows a double.
     Evaluated as exp(log1p((1-q) z)/(1-q)) for stability near the cutoff.
     """
     qi = as_qindex(q)
     if not math.isfinite(z):
         raise DomainError(f"q_exp argument must be finite, got {z!r}")
-    if qi.is_classical():
-        return math.exp(z)
-    one_minus_q = 1.0 - qi.q
-    if 1.0 + one_minus_q * z <= 0.0:
-        if qi.q < 1.0:
-            return 0.0
-        raise DomainError(
-            f"q_exp diverges at the pole z = {1.0 / (qi.q - 1.0)!r} for "
-            f"q = {qi.q!r}; got z = {z!r}")
-    return math.exp(math.log1p(one_minus_q * z) / one_minus_q)
+    try:
+        if qi.is_classical():
+            return math.exp(z)
+        one_minus_q = 1.0 - qi.q
+        if 1.0 + one_minus_q * z <= 0.0:
+            if qi.q < 1.0:
+                return 0.0
+            raise DomainError(
+                f"q_exp diverges at the pole z = {1.0 / (qi.q - 1.0)!r} for "
+                f"q = {qi.q!r}; got z = {z!r}")
+        return math.exp(math.log1p(one_minus_q * z) / one_minus_q)
+    except OverflowError:
+        raise RangeError(
+            f"q_exp({z!r}) overflows a double for q = {qi.q!r}") from None
 
 
 def q_log(y: float, q: QIndex | float) -> float:

@@ -115,7 +115,8 @@ def integrate(f: Callable[[float], float], interval: SupportInterval,
 
 def path_integral(f: Callable[[float], float], a: float, b: float,
                   spec: QuadratureSpec) -> float:
-    """Signed integral along the oriented path from a to b (both finite)."""
+    """Signed integral along the oriented path from a to b; either end may
+    be infinite and a may exceed b (scipy's quad takes both)."""
     if a == b:
         return 0.0
     value, err, ok = _quad(f, a, b, spec)

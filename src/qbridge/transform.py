@@ -11,6 +11,8 @@ which for the canonical choice c = 0 collapses to
     g(x) = (1 - (1-q) lam.h(x)) / (2-q),
 
 positive for q < 2, negative for q > 2, and singular only at q = 2.
+`g_general` takes this form whenever c = 0, so TransformMap.J = 1/g is the
+transport factor.  TransformSpec refuses the q = 2 band, once.
 
 For the polynomial observables accepted here lam.h is one polynomial,
 whose coefficients ConstraintSet combines once, and so is the margin
@@ -36,8 +38,8 @@ from .errors import (
     SingularIndexError,
     UnsupportedRegimeError,
 )
-from .qkernel import QIndex, SupportInterval, as_qindex, q_exp
-from .quadrature import QuadratureSpec, _quad, path_integral
+from .qkernel import EPS_Q2, QIndex, SupportInterval, as_qindex, q_exp
+from .quadrature import QuadratureSpec, path_integral
 
 __all__ = [
     "ConstraintFn",
@@ -47,7 +49,6 @@ __all__ = [
     "qexp_support",
     "g_general",
     "g_canonical",
-    "jacobian",
     "u_of_x",
     "x_of_u",
     "u_image",
@@ -91,17 +92,6 @@ class ConstraintFn:
 
     def slope(self, x: float) -> float:
         return _horner([k * c for k, c in enumerate(self.coefficients)][1:], x)
-
-    def slope_matches_finite_difference(self, grid: Sequence[float],
-                                        step: float = 1e-6,
-                                        rel_tol: float = 1e-8) -> bool:
-        """Central-difference consistency check of slope() on a grid."""
-        for x in grid:
-            fd = (self.value(x + step) - self.value(x - step)) / (2.0 * step)
-            exact = self.slope(x)
-            if abs(fd - exact) > rel_tol * max(1.0, abs(exact)):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -249,7 +239,7 @@ class TransformSpec:
         if self.q.is_singular_for_transform():
             raise SingularIndexError(
                 f"entropic index q = {self.q.q!r} is inside the singular band "
-                f"|q - 2| < {self.q.eps_q2!r}; the transform diverges at q = 2")
+                f"|q - 2| < {EPS_Q2!r}; the transform diverges at q = 2")
         if not (math.isfinite(self.c) and math.isfinite(self.anchor_x)
                 and math.isfinite(self.anchor_u)):
             raise ConfigurationError("c and anchors must be finite")
@@ -260,23 +250,28 @@ class TransformSpec:
                     f"q-exponential support")
 
 
-def _require_not_singular(qi: QIndex) -> None:
-    if qi.is_singular_for_transform():
-        raise SingularIndexError(
-            f"entropic index q = {qi.q!r} is inside the singular band "
-            f"|q - 2| < {qi.eps_q2!r}; the transform diverges at q = 2")
-
-
 def g_general(x: float, spec: TransformSpec) -> float:
-    """General closed form of the inverse Jacobian, with integration constant c."""
+    """General closed form of the inverse Jacobian, with integration constant c.
+
+    At c = 0 it is phi/(2-q), phi = 1 - (1-q) lam.h, bitwise g_canonical and
+    with no q_exp; it raises EdgeSingularityError where phi is exactly 0.
+    Outside the support it raises DomainError.
+    """
     qi = spec.q
-    _require_not_singular(qi)
     t = spec.cs.potential(x)
-    if qi.is_classical():
+    if qi.is_classical() and spec.c != 0.0:
         return 1.0 + spec.c * math.exp(t)
-    if not 1.0 - (1.0 - qi.q) * t > 0.0:
+    phi = 1.0 - (1.0 - qi.q) * t
+    if spec.c == 0.0 and phi == 0.0:
+        raise EdgeSingularityError(
+            f"inverse Jacobian vanishes at the support edge x = {x!r}", edge=x)
+    if not phi > 0.0:
         raise DomainError(
             f"x = {x!r} lies outside the q-exponential support for q = {qi.q!r}")
+    if spec.c == 0.0:
+        return phi / (2.0 - qi.q)
+    # The paper's form: as phi/(2-q) + c/e_q, g rounds differently, and the
+    # scan in _check_path_free_of_zeros misses its zero at x = 8 (q 1.5, c -0.4).
     e = q_exp(-t, qi)
     return (e ** (2.0 - qi.q) / (2.0 - qi.q) + spec.c) / e
 
@@ -288,17 +283,7 @@ def g_canonical(x: float, spec: TransformSpec) -> float:
     through the support edge, where it vanishes).
     """
     qi = spec.q
-    _require_not_singular(qi)
     return (1.0 - (1.0 - qi.q) * spec.cs.potential(x)) / (2.0 - qi.q)
-
-
-def jacobian(x: float, spec: TransformSpec) -> float:
-    """Density-transport factor J(x) = 1/g_canonical(x)."""
-    g = g_canonical(x, spec)
-    if g == 0.0 or math.isinf(1.0 / g):
-        raise EdgeSingularityError(
-            f"inverse Jacobian vanishes at the support edge x = {x!r}", edge=x)
-    return 1.0 / g
 
 
 def _check_path_free_of_zeros(spec: TransformSpec, a: float, b: float) -> None:
@@ -349,16 +334,6 @@ def u_of_x(x: float, spec: TransformSpec) -> float:
                                          spec.anchor_x, x, spec.quad)
 
 
-def _signed_improper(f: Callable[[float], float], a: float, b: float,
-                     spec: QuadratureSpec) -> float:
-    """Signed integral from a to b where either endpoint may be infinite."""
-    if a <= b:
-        value, _, _ = _quad(f, a, b, spec)
-        return value
-    value, _, _ = _quad(f, b, a, spec)
-    return -value
-
-
 def u_image(spec: TransformSpec,
             interval: SupportInterval | None = None) -> tuple[float, float]:
     """Ordered image of `interval` (default: the whole q-exponential
@@ -393,9 +368,8 @@ def u_image(spec: TransformSpec,
                 return u_of_x(endpoint - direction * inset, spec)
             return sign_u * math.inf  # simple zero of the margin: log divergence
         if spec.c == 0.0 and degree >= 2:
-            tail = _signed_improper(lambda s: 1.0 / g_general(s, spec),
-                                    spec.anchor_x, endpoint, spec.quad)
-            return spec.anchor_u + tail
+            return spec.anchor_u + path_integral(lambda s: 1.0 / g_general(s, spec),
+                                                 spec.anchor_x, endpoint, spec.quad)
         if spec.c != 0.0:
             return u_of_x(math.copysign(1e9, endpoint), spec)
         return sign_u * math.inf  # linear tail: log divergence
@@ -516,11 +490,7 @@ class TransformMap:
 
     @classmethod
     def from_spec(cls, spec: TransformSpec) -> "TransformMap":
-        if spec.q.is_classical():
-            support = SupportInterval(-math.inf, math.inf,
-                                      closed_lower=False, closed_upper=False)
-        else:
-            support = qexp_support(spec.q, spec.cs, anchor=spec.anchor_x)
+        support = qexp_support(spec.q, spec.cs, anchor=spec.anchor_x)
         g_anchor = g_general(spec.anchor_x, spec)
         if g_anchor == 0.0:
             raise ConfigurationError(
@@ -544,6 +514,3 @@ class TransformMap:
 
     def x(self, u: float) -> float:
         return x_of_u(u, self.spec, support=self.support, image=self.u_image)
-
-    def u_range(self) -> tuple[float, float]:
-        return self.u_image

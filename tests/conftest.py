@@ -35,11 +35,6 @@ def interior_grid(q, cs, n=100, clip=5.0, margin=0.02):
 
 def matched_solutions(q, cs, domain, quadspec):
     """Tsallis solution plus the Shannon solution on the image domain."""
-    tsallis = qb.normalize_tsallis(q, cs, quadspec, domain=domain)
-    spec = qb.TransformSpec(qb.QIndex(q), cs)
-    map_ = qb.TransformMap.from_spec(spec)
-    u_lo, u_hi = qb.u_image(spec, tsallis.support)
-    image = qb.SupportInterval(u_lo, u_hi, closed_lower=False, closed_upper=False)
-    z = qb.integrate(lambda u: math.exp(-cs.potential(u)), image, quadspec)
-    shannon = qb.ShannonSolution(mu=math.log(z), cs=cs, domain=image)
-    return tsallis, shannon, map_
+    map_ = qb.TransformMap.from_spec(qb.TransformSpec(qb.QIndex(q), cs))
+    tsallis = qb.normalize_tsallis(q, cs, quadspec, domain=domain, support=map_.support)
+    return tsallis, qb.shannon_partner(tsallis, map_, quadspec), map_

@@ -16,7 +16,6 @@ import qbridge as qb
 from qbridge import (
     ConstraintFn,
     ConstraintSet,
-    LinearODE,
     Observable,
     QIndex,
     TransformSpec,
@@ -30,6 +29,7 @@ from conftest import (
     matched_solutions,
     square_cs,
 )
+from oracles import LinearODE, solve_ode_numeric
 
 QUAD = qb.QuadratureSpec()
 
@@ -77,7 +77,7 @@ def test_criterion_2_closed_form_vs_numeric_ode():
         edge = support.upper if math.isfinite(support.upper) else support.lower
         ode = LinearODE(lambda x, q=q: -qb.q_exp(-x, q) ** (q - 1.0),
                         lambda x: -1.0, 0.0, qb.g_canonical(0.0, spec))
-        path = qb.solve_ode_numeric(ode, 0.9 * edge, 2000)
+        path = solve_ode_numeric(ode, 0.9 * edge, 2000)
         worst = max(worst, max(abs(g - qb.g_canonical(x, spec))
                                for x, g in path))
     elapsed = time.perf_counter() - start

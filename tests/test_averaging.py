@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import qbridge as qb
-from qbridge import Observable, SupportedDensity, SupportInterval
+from qbridge import Observable, SupportInterval
 
 from conftest import HALF_LINE, identity_cs
+from oracles import SupportedDensity
 
 ONE = Observable(lambda x: 1.0, "1")
 X = Observable.identity()

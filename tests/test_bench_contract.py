@@ -1,0 +1,48 @@
+"""The benchmark harness under bench/ names library functions and calls the
+library directly.  These tests fail when a change to the package would
+break a benchmark run: a traced name that no longer resolves (the run
+would print "missing" as a metric), or a worker operation that raises or
+that the harness's oracle rejects.  They only read bench/.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import oracle  # noqa: E402
+import spans  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
+
+TARGETS = ([(name, mod, attr) for name, mod, attr, _ in spans.SPAN_TARGETS]
+           + list(spans.COUNT_TARGETS) + [spans.MOMENTS_TARGET])
+
+
+@pytest.mark.parametrize("name,modname,attr", TARGETS, ids=[t[0] for t in TARGETS])
+def test_every_traced_name_resolves(name, modname, attr):
+    _, _, value = spans.Tracer()._lookup(modname, attr)
+    assert value is not None, f"{name}: {modname}.{attr} is gone"
+
+
+CHECKS = {"fit-moments": oracle.check_fit_op, "map-nonlinear": oracle.check_map_op}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("workload", sorted(CHECKS))
+def test_worker_operation_passes_the_oracle(workload, traced):
+    inp = workloads.in_process_op(workload, 1, "w0", 0)
+    tracer = spans.Tracer().install() if traced else None
+    try:
+        out = worker.run_op(workload, inp)
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    assert "error" not in out
+    assert CHECKS[workload](inp, out) == []
+    if tracer is not None:
+        assert tracer.missing == []

@@ -217,3 +217,47 @@ def test_env_var_sets_default_tolerance(tmp_path: Path):
     cp = run_cli("averages", "--q", "0.5", "--lambda", "1", "--h", "identity",
                  env=env_bad)
     assert cp.returncode == 2
+
+
+def run_main(capsys, *args: str) -> tuple[int, str, str]:
+    from qbridge import cli
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_verify_round_trip_tolerance_scales_with_x(capsys):
+    # the grid sits at x ~ 1e5: a round trip off by 1.1e-9 is 1e-14 relative
+    code, out, _ = run_main(capsys, "verify", "--q", "0.5", "--lambda", "1e-7",
+                            "--h", "identity", "--anchor", "1e5,0")
+    assert code == 0
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert by_name["round_trip"]["passed"]
+    assert by_name["round_trip"]["tol"] >= 1e-9 * 1e5
+
+
+def test_verify_closed_form_tolerances_scale_with_g(capsys):
+    # |g| and lam.h' reach ~4e5 here; only the transport identity fails
+    code, out, err = run_main(capsys, "verify", "--q", "1.5", "--lambda", "1e4",
+                              "--h", "square", "--domain=-inf:inf")
+    assert code == 4
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["transport_identity"]
+    assert "transport_identity" in err
+
+
+def test_transform_just_outside_the_classical_band(capsys):
+    # e_q(-lam.h) underflows to 0 at x = +-5; g at c = 0 does not divide by it
+    code, out, _ = run_main(capsys, "transform", "--q", "1.00000001", "--lambda", "1",
+                            "--h", "poly:0,0,0,0,3", "--domain=-inf:inf", "--grid=-5:5:3")
+    assert code == 0
+    rows = [list(map(float, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3 and all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_q_exp_overflow_exits_three(capsys):
+    code, out, err = run_main(capsys, "averages", "--q", "1.00000001", "--lambda", "-1",
+                              "--h", "poly:0,0,0,0,3", "--domain=-10:10")
+    assert code == 3
+    assert out == ""
+    assert "overflows" in err and "q = 1.00000001" in err

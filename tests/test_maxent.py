@@ -8,7 +8,6 @@ import qbridge as qb
 from qbridge import (
     ConstraintFn,
     ConstraintSet,
-    LinearODE,
     QIndex,
     QuadratureSpec,
     SupportInterval,
@@ -18,6 +17,7 @@ from qbridge import (
 )
 
 from conftest import HALF_LINE, REAL_LINE, identity_cs, matched_solutions, square_cs
+from oracles import LinearODE, check_square_integrable, solve_ode_numeric
 
 
 # ---------------------------------------------------------------- quadrature
@@ -243,8 +243,8 @@ def test_transport_requires_shared_constraints(quad):
 # ----------------------------------------------------------------- ode oracle
 
 def test_ode_textbook_solution():
-    path = qb.solve_ode_numeric(LinearODE(lambda x: 1.0, lambda x: 1.0, 0.0, 0.0),
-                                1.0, 1000)
+    path = solve_ode_numeric(LinearODE(lambda x: 1.0, lambda x: 1.0, 0.0, 0.0),
+                             1.0, 1000)
     x_end, g_end = path[-1]
     assert x_end == pytest.approx(1.0)
     assert g_end == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
@@ -254,7 +254,7 @@ def test_ode_textbook_solution():
 def test_ode_classical_fixed_point():
     lam = 1.0
     ode = LinearODE(lambda x: -lam, lambda x: -lam, 0.0, 1.0)
-    path = qb.solve_ode_numeric(ode, 5.0, 500)
+    path = solve_ode_numeric(ode, 5.0, 500)
     assert all(g == 1.0 for _, g in path)
 
 
@@ -266,7 +266,7 @@ def test_ode_matches_closed_form():
         edge = support.upper if math.isfinite(support.upper) else support.lower
         ode = LinearODE(lambda x, q=q: -qb.q_exp(-x, q) ** (q - 1.0),
                         lambda x: -1.0, 0.0, qb.g_canonical(0.0, spec))
-        path = qb.solve_ode_numeric(ode, 0.9 * edge, 2000)
+        path = solve_ode_numeric(ode, 0.9 * edge, 2000)
         worst = max(abs(g - qb.g_canonical(x, spec)) for x, g in path)
         assert worst < 1e-8
 
@@ -274,10 +274,10 @@ def test_ode_matches_closed_form():
 def test_ode_guards():
     ode = LinearODE(lambda x: 1.0, lambda x: 1.0, 0.0, 0.0)
     with pytest.raises(qb.ConfigurationError):
-        qb.solve_ode_numeric(ode, 1.0, 50)
+        solve_ode_numeric(ode, 1.0, 50)
     growing = LinearODE(lambda x: -1.0, lambda x: 0.0, 0.0, 1.0)
     with pytest.raises(qb.InstabilityError):
-        qb.solve_ode_numeric(growing, 40.0, 1000)
+        solve_ode_numeric(growing, 40.0, 1000)
 
 
 # ------------------------------------------------------------------- sampling
@@ -341,8 +341,8 @@ def test_sampling_regime_guards(quad):
 
 def test_square_integrability_check(quad):
     t = qb.normalize_tsallis(0.5, identity_cs(), quad, domain=HALF_LINE)
-    assert qb.check_square_integrable(ConstraintFn.identity(), t.density,
-                                      t.support, quad)
+    assert check_square_integrable(ConstraintFn.identity(), t.density,
+                                   t.support, quad)
     heavy = qb.normalize_tsallis(1.5, identity_cs(), quad, domain=HALF_LINE)
-    assert not qb.check_square_integrable(ConstraintFn.square(), heavy.density,
-                                          heavy.support, quad)
+    assert not check_square_integrable(ConstraintFn.square(), heavy.density,
+                                       heavy.support, quad)

@@ -125,8 +125,6 @@ def test_qindex_guards():
     assert not QIndex(1.9).is_singular_for_transform()
     with pytest.raises(qb.ConfigurationError):
         QIndex(math.nan)
-    with pytest.raises(qb.ConfigurationError):
-        QIndex(1.0, eps_q1=0.0)
 
 
 def test_support_interval_membership():
@@ -147,3 +145,9 @@ def test_support_interval_intersection_keeps_closedness():
     both = base.intersect(cutoff)
     assert (both.lower, both.upper) == (0.0, 2.0)
     assert both.contains(0.0) and not both.contains(2.0)
+
+
+def test_q_exp_overflow_is_a_range_error():
+    for z, q in ((800.0, 1.0), (3e4, 1.00000001)):
+        with pytest.raises(qb.RangeError, match="overflows"):
+            q_exp(z, q)

@@ -8,6 +8,7 @@ import qbridge as qb
 from qbridge import ConstraintFn, ConstraintSet, QIndex, TransformMap, TransformSpec
 
 from conftest import identity_cs, interior_grid, square_cs
+from oracles import slope_matches_finite_difference
 
 
 def make_spec(q, cs=None, **kw):
@@ -20,7 +21,7 @@ def test_constraint_slopes_match_finite_differences():
     grid = np.linspace(-3.0, 3.0, 25)
     for fn in (ConstraintFn.identity(), ConstraintFn.square(),
                ConstraintFn.polynomial([1.0, -2.0, 0.5, 3.0])):
-        assert fn.slope_matches_finite_difference(grid)
+        assert slope_matches_finite_difference(fn, grid)
 
 
 def test_constraint_values():
@@ -99,6 +100,15 @@ def test_general_form_collapses_at_c_zero():
             assert abs(qb.g_general(x, spec) - qb.g_canonical(x, spec)) < 1e-13
 
 
+def test_general_form_at_c_zero_needs_no_q_exp():
+    # e_q(-3 x^4) underflows to 0 at x = 5 for q = 1 + 1e-8; g = phi/(2-q) does not
+    quartic = ConstraintSet((ConstraintFn.polynomial([0.0, 0.0, 0.0, 0.0, 3.0]),), (1.0,))
+    spec = make_spec(1.00000001, quartic)
+    assert qb.q_exp(-quartic.potential(5.0), spec.q) == 0.0
+    assert qb.g_general(5.0, spec) == qb.g_canonical(5.0, spec)
+    assert TransformMap.from_spec(make_spec(1.0)).g(1e3) == 1.0
+
+
 def test_general_form_classical_limit_with_constant():
     spec = make_spec(1.0, c=0.2)
     for x in (-1.0, 0.0, 0.5, 2.0):
@@ -159,21 +169,20 @@ def test_canonical_defined_at_edge():
 # ------------------------------------------------------------------- jacobian
 
 def test_jacobian_classical_is_one():
-    assert qb.jacobian(11.0, make_spec(1.0)) == 1.0
+    assert TransformMap.from_spec(make_spec(1.0)).J(11.0) == 1.0
 
 
 def test_jacobian_reciprocal_identity():
-    rng = np.random.default_rng(11)
     for q in (0.5, 1.3, 2.5):
-        spec = make_spec(q)
-        for x in interior_grid(q, spec.cs, n=25):
-            assert abs(qb.jacobian(x, spec) * qb.g_canonical(x, spec) - 1.0) < 1e-14
+        map_ = TransformMap.from_spec(make_spec(q))
+        for x in interior_grid(q, map_.spec.cs, n=25):
+            assert abs(map_.J(x) * qb.g_canonical(x, map_.spec) - 1.0) < 1e-14
 
 
 def test_jacobian_edge_error_carries_location():
-    spec = make_spec(0.5)
+    map_ = TransformMap.from_spec(make_spec(0.5))
     with pytest.raises(qb.EdgeSingularityError) as err:
-        qb.jacobian(2.0, spec)
+        map_.J(2.0)
     assert err.value.edge == 2.0
 
 
@@ -194,9 +203,9 @@ def test_u_closed_form_value():
 def test_u_closed_form_matches_numeric_quadrature():
     # independent oracle: direct quadrature of J along the path
     spec = make_spec(1.5)
+    map_ = TransformMap.from_spec(spec)
     for x in np.linspace(0.5, 10.0, 12):
-        numeric, _ = scipy_quad(lambda s: qb.jacobian(s, spec), 0.0, x,
-                                epsabs=1e-13, epsrel=1e-13)
+        numeric, _ = scipy_quad(map_.J, 0.0, x, epsabs=1e-13, epsrel=1e-13)
         assert abs(qb.u_of_x(float(x), spec) - numeric) < 1e-9
 
 
@@ -233,6 +242,23 @@ def test_general_constraint_map_round_trip_and_range():
         assert abs(qb.u_of_x(x, spec) - u) < 1e-9
     with pytest.raises(qb.RangeError):
         qb.x_of_u(1.2, spec)
+
+
+def test_u_image_tail_checks_quadrature_convergence(monkeypatch):
+    # the improper tail of u's image must not pass off an unconverged estimate
+    import warnings
+
+    import qbridge.quadrature
+    from scipy.integrate import IntegrationWarning
+
+    def unconverged(f, a, b, **kwargs):
+        warnings.warn("maximum number of subdivisions reached", IntegrationWarning)
+        return 1.0, 1.0
+
+    spec = make_spec(1.5, square_cs())
+    monkeypatch.setattr(qbridge.quadrature, "quad", unconverged)
+    with pytest.raises(qb.QuadratureError):
+        qb.u_image(spec)
 
 
 def test_path_crossing_zero_raises_for_nonzero_constant():
@@ -320,7 +346,8 @@ def test_u_strictly_increasing_below_two():
         xs = interior_grid(q, spec.cs, n=80)
         us = [qb.u_of_x(float(x), spec) for x in xs]
         assert all(b > a for a, b in zip(us, us[1:]))
-        assert all(qb.jacobian(float(x), spec) > 0.0 for x in xs)
+        map_ = TransformMap.from_spec(spec)
+        assert all(map_.J(float(x)) > 0.0 for x in xs)
 
 
 def test_classical_collapse_bound():
