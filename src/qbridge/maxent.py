@@ -3,8 +3,11 @@
 The Shannon solver fits multipliers to moment targets by damped Newton
 with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
 batched double-exponential pass per step (bisection fallback for a single
-constraint); adaptive QUADPACK then re-checks the solution, split at the
-density's modes.  Targets outside the moment set end at a dual
+constraint), from the closed-form fit where one exists (the exponential
+on a half-line, the Gaussian on the line).  One vectorized adaptive
+Gauss-Kronrod pass then re-checks the normalization and every moment of
+the solution, split at the density's modes.  Targets outside the moment
+set end at a dual
 certificate: multipliers lam with lam.K below the infimum of lam.h over
 the domain, found inside the moment pass and raised as
 FeasibilityError.  The Tsallis
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import bisect
@@ -34,7 +37,14 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .qkernel import QIndex, SupportInterval, as_qindex, q_exp
-from .quadrature import DE_MAX_LEVEL, DE_START_LEVEL, QuadratureSpec, de_rule, integrate
+from .quadrature import (
+    DE_MAX_LEVEL,
+    DE_START_LEVEL,
+    QuadratureSpec,
+    de_rule,
+    integrate,
+    integrate_rows,
+)
 from .transform import ConstraintFn, ConstraintSet, TransformMap, qexp_support, u_image
 
 __all__ = [
@@ -313,9 +323,11 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     taken from one batched double-exponential pass per trial point, and one
     more full Newton step once the gap test passes;
     single-constraint problems fall back to bracketed bisection when
-    Newton stalls.  mu = log Z comes from the same pass, and adaptive
-    QUADPACK re-checks the normalization and every moment of the result,
-    integrating between the modes of the density.
+    Newton stalls.  Newton starts at the closed-form fit where there is one
+    (see `_newton_start`).  mu = log Z comes from the same pass, and one
+    vectorized adaptive Gauss-Kronrod pass re-checks the normalization and
+    every moment of the result, integrating between the modes of the
+    density.
 
     Raises FeasibilityError, carrying the Newton trace and the multipliers
     as `certificate`, as soon as a trial point's lam.K falls below the
@@ -333,7 +345,7 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
 
     targets = np.array(cs.targets)
     moments = _moment_functions(cs.constraints, domain, quad, targets=targets)
-    lams = np.array([1.0 / (1.0 + abs(k)) for k in cs.targets])
+    lams = _newton_start(cs.constraints, cs.targets, domain)
     trace: list = []
     try:
         lams, log_z, converged = _newton(moments, lams, targets, trace)
@@ -356,6 +368,33 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     solution = ShannonSolution(mu=float(log_z), cs=fitted, domain=domain)
     _check_shannon_invariants(solution, quad)
     return solution
+
+
+_X, _X2 = (0.0, 1.0), (0.0, 0.0, 1.0)   # coefficients of x and x^2
+
+
+def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, ...],
+                  domain: SupportInterval) -> np.ndarray:
+    """Newton's first multipliers: the exact fit where one is closed-form.
+
+    x on [a, inf) with K > a is fitted by the exponential, lam = 1/(K-a).
+    x, x^2 on the real line with v = K2 - K1^2 > 0 is fitted by the
+    Gaussian, (-K1/v, 1/(2v)).  With v <= 0, (-2 K1, 1) is a dual
+    certificate: lam.K = K2 - 2 K1^2 lies at or below inf lam.h = -K1^2,
+    which the first moment pass's gate then tests.  Any other set starts at
+    1/(1+|K_i|).
+    """
+    shape = tuple(c.coefficients for c in constraints)
+    lo, hi = domain.lower, domain.upper
+    if shape == (_X,) and math.isfinite(lo) and math.isinf(hi) and targets[0] > lo:
+        return np.array([1.0 / (targets[0] - lo)])
+    if shape == (_X, _X2) and math.isinf(lo) and math.isinf(hi):
+        k1, k2 = targets
+        v = k2 - k1 * k1
+        if v > 0.0:
+            return np.array([(0.0 - k1) / v, 0.5 / v])   # 0 - k1: never -0.0
+        return np.array([-2.0 * k1, 1.0])
+    return np.array([1.0 / (1.0 + abs(k)) for k in targets])
 
 
 def _newton(moments, lams: np.ndarray, targets: np.ndarray,
@@ -407,27 +446,39 @@ def _newton(moments, lams: np.ndarray, targets: np.ndarray,
 
 
 def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
+    """Re-check the normalization and every moment of `s` to 10 rel_tol.
+
+    One adaptive Gauss-Kronrod pass (`integrate_rows`) integrates the rows
+    p, p h_1, ..., p h_m with p = exp(-mu - lam.h) on shared nodes.  The
+    solver's moments come from `de_rule`'s tanh-sinh, exp-sinh and
+    sinh-sinh nodes; these are Gauss-Kronrod nodes on QUADPACK's map of an
+    infinite end, another family with other nodes, so the re-check does not
+    test the rule against itself.
+    """
     tol = 10.0 * quad.rel_tol
-    # The re-check integrates 10x tighter than the tolerance it asserts.  At
-    # `quad` itself QUADPACK misjudges its error at isolated multipliers:
-    # for lam = 1/2.7416 on the half-line it is 7.3e-9 off while claiming
-    # 8.6e-11, and would refuse a solution that is exact to rounding.
+    # The re-check integrates 10x tighter than the tolerance it asserts, and
+    # its error is the raw |K21 - G10|.  QUADPACK rescales that difference
+    # ((200 err/resasc)^1.5) and so misjudges its error at isolated
+    # multipliers: for lam = 1/K, K = 3.328611156682118 on the half-line its
+    # mean is 4.6e-9 off while it claims 2.6e-11, and it refused a solution
+    # exact to rounding.
     check = quad.tightened(10.0)
-    # Split at the modes, the interior local minimisers of lam.h: QUADPACK's
-    # map of an infinite range puts no node on a narrow peak far from 0 (for
-    # K = (100, 10001) for x, x^2 it returns 0.0 on the real line), and a
-    # split at one of two deep wells would hide the other one the same way.
+    # Split at the modes, the interior local minimisers of lam.h: the map of
+    # an infinite range puts no node on a narrow peak far from its origin
+    # (for K = (100, 10001) for x, x^2 QUADPACK returns 0.0 on the real
+    # line), and a split at one of two deep wells would hide the other one
+    # the same way.
     fences = [s.domain.lower, *_modes(s.cs, s.domain), s.domain.upper]
     parts = [SupportInterval(a, b) for a, b in zip(fences, fences[1:])]
 
-    def integral(f: Callable[[float], float]) -> float:
-        return sum(integrate(f, part, check) for part in parts)
+    def rows(u: np.ndarray) -> np.ndarray:
+        p = np.exp(-s.mu - s.cs.potential(u))
+        return np.array([p, *(p * c.value(u) for c in s.cs.constraints)])
 
-    total = integral(s.density)
+    total, *moments = integrate_rows(rows, parts, check).tolist()
     if abs(total - 1.0) > tol:
         raise SolverError(f"normalization check failed: integral {total!r}")
-    for c, k in zip(s.cs.constraints, s.cs.targets):
-        moment = integral(lambda u: s.density(u) * c.value(u))
+    for moment, k in zip(moments, s.cs.targets):
         if abs(moment - k) > tol * max(1.0, abs(k)):
             raise SolverError(f"moment check failed: got {moment!r}, want {k!r}")
 

@@ -169,3 +169,86 @@ def test_modes_are_the_interior_local_minimisers(observables, lams, domain, mode
     from qbridge.maxent import _modes
     got = _modes(ConstraintSet(observables, lams), domain)
     assert got == pytest.approx(modes, abs=1e-4)
+
+
+# ------------------------------------------- closed-form fits, exact refusals
+
+def _exact(observables, targets, lams, mu, domain):
+    fitted = ConstraintSet(observables, lams, targets=targets)
+    return qb.ShannonSolution(mu=mu, cs=fitted, domain=domain)
+
+
+def _exponential(k):
+    return (X,), (k,), (1.0 / k,), math.log(k)
+
+
+def _gaussian(k1, k2):
+    var = k2 - k1 * k1
+    return ((X, X2), (k1, k2), ((0.0 - k1) / var, 0.5 / var),
+            0.5 * math.log(2.0 * math.pi * var) + 0.5 * k1 * k1 / var)
+
+
+# Each was refused by the QUADPACK re-check (the first two: "moment check
+# failed" and "normalization check failed" on solutions exact to rounding)
+# or stalled Newton from 1/(1+|K|) ((0, 1e4): "Newton stagnated").
+@pytest.mark.parametrize("case,domain", [
+    (_exponential(3.328611156682118), HALF_LINE),
+    (_gaussian(-0.20960011559844904, 1.3650832219283844), REAL_LINE),
+    (_gaussian(0.0, 1e4), REAL_LINE),
+])
+def test_false_refusals_solve_to_the_closed_form(case, domain):
+    from qbridge.maxent import _check_shannon_invariants
+    observables, targets, lams, mu = case
+    quad = QuadratureSpec()
+    _check_shannon_invariants(_exact(observables, targets, lams, mu, domain), quad)
+    s = _solve(observables, targets, domain)
+    assert s.cs.multipliers == pytest.approx(lams, rel=1e-12, abs=1e-12 * max(map(abs, lams)))
+    assert s.mu == pytest.approx(mu, rel=1e-12)
+
+
+def _count_passes(monkeypatch):
+    import qbridge.maxent as maxent
+    passes = []
+    build = maxent._moment_functions
+
+    def counting(*args, **kwargs):
+        moments = build(*args, **kwargs)
+
+        def counted(*a, **kw):
+            passes.append(a[0])
+            return moments(*a, **kw)
+
+        return counted
+
+    monkeypatch.setattr(maxent, "_moment_functions", counting)
+    return passes
+
+
+@pytest.mark.parametrize("observables,targets,domain,start", [
+    ((X,), (2.0,), HALF_LINE, [0.5]),
+    ((X,), (2.0,), SupportInterval(-1.0, math.inf), [1.0 / 3.0]),
+    ((X, X2), (0.5, 1.0), REAL_LINE, [-2.0 / 3.0, 2.0 / 3.0]),
+    ((X, X2), (0.0, 4.0), REAL_LINE, [0.0, 0.125]),
+])
+def test_newton_starts_at_the_closed_form_fit(monkeypatch, observables, targets, domain, start):
+    passes = _count_passes(monkeypatch)
+    _solve(observables, targets, domain)
+    assert list(passes[0]) == pytest.approx(start, rel=1e-15)
+    if start[0] == 0.0:
+        assert math.copysign(1.0, passes[0][0]) == 1.0   # +0.0, never -0.0
+    assert len(passes) <= 2    # the pass at the start and the polishing step
+
+
+@pytest.mark.parametrize("targets", [(1.0, 0.5), (-3.0, 8.0), (1.0, 1.0 - 1e-6)])
+def test_negative_variance_ends_at_the_first_moment_pass(monkeypatch, targets):
+    passes = _count_passes(monkeypatch)
+    with pytest.raises(qb.FeasibilityError) as err:
+        _solve((X, X2), targets, REAL_LINE)
+    assert len(passes) == 1
+    assert err.value.certificate == (-2.0 * targets[0], 1.0)
+
+
+def test_other_sets_keep_the_reciprocal_start(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    _solve((X2, X4), (1.0, 1.5), REAL_LINE)
+    assert list(passes[0]) == [0.5, 0.4]
