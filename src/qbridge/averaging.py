@@ -6,6 +6,13 @@ Three ways of averaging an observable A against a density p:
     CT       <A>_q = int p^q A          (un-normalized for q != 1)
     TMP      <A>_q = int (p^q / X_q) A  with X_q = int p^q
 
+Each integral is one `integrate_de` call: the nested double-exponential
+rule in numpy, or QUADPACK where that rule cannot certify the integral
+(a tail too heavy for its range, as for the mean at q = 1.49 with h = x).
+So `p.density` and `A.value` receive a numpy array of nodes and return an
+array of values (a float, such as a constant, broadcasts); on the QUADPACK
+fallback they receive one float at a time and return a float.
+
 mean_tmp reuses the same quadrature configuration for numerator and
 normalizer, so the ratio identity TMP = CT / X_q holds exactly at the
 evaluation level.
@@ -19,7 +26,7 @@ from typing import Callable
 
 from .errors import NonIntegrableError, QuadratureError
 from .qkernel import QIndex, as_qindex
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate_de
 
 __all__ = [
     "Observable",
@@ -65,14 +72,14 @@ class EscortWeight:
 
 def mean_linear(p, a: Observable, quad: QuadratureSpec) -> float:
     """Ordinary expectation int p A over the density's support."""
-    return integrate(lambda x: p.density(x) * a.value(x), p.support, quad)
+    return integrate_de(lambda x: p.density(x) * a.value(x), p.support, quad)
 
 
 def escort_norm(p, q: QIndex | float, quad: QuadratureSpec) -> EscortWeight:
     """Escort normalizer X_q = int p^q; equals 1 at q = 1."""
     qi = as_qindex(q)
     try:
-        x_q = integrate(lambda x: p.density(x) ** qi.q, p.support, quad)
+        x_q = integrate_de(lambda x: p.density(x) ** qi.q, p.support, quad)
     except QuadratureError as exc:
         raise NonIntegrableError(
             f"escort integral did not converge for q = {qi.q!r}: {exc}") from exc
@@ -85,7 +92,7 @@ def mean_ct(p, a: Observable, q: QIndex | float, quad: QuadratureSpec) -> float:
     """Curado-Tsallis weighted expectation int p^q A (un-normalized:
     its value at A = 1 is X_q, not 1)."""
     qi = as_qindex(q)
-    return integrate(lambda x: p.density(x) ** qi.q * a.value(x), p.support, quad)
+    return integrate_de(lambda x: p.density(x) ** qi.q * a.value(x), p.support, quad)
 
 
 def mean_tmp(p, a: Observable, q: QIndex | float, quad: QuadratureSpec) -> float:

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -69,7 +70,21 @@ def fmt(value: float) -> str:
 
 
 def emit_json(obj, indent: int = 0) -> str:
+    """JSON with two-space indents and every float in `fmt`'s rendering.
+
+    A 1-D numpy float array renders as the list of its floats would, in
+    one join rather than one recursive call per element.
+    """
     pad = "  " * indent
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        bad = ~np.isfinite(obj)
+        if bad.any():
+            fmt(float(obj[bad][0]))     # raises ConfigurationError
+        if not obj.size:
+            return "[]"
+        values = obj.tolist()
+        body = f",\n{pad}  ".join(map(format, values, repeat(".17g", len(values))))
+        return f"[\n{pad}  {body}\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -479,7 +494,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "n": cfg.n_samples,
         "ks_statistic": ks,
-        "samples": [float(v) for v in samples],
+        "samples": samples,
     }
     write_artifact(cfg.out, emit_json(doc) + "\n")
     return EXIT_OK

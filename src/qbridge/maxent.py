@@ -4,25 +4,28 @@ The Shannon solver fits multipliers to moment targets by damped Newton
 with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
 batched double-exponential pass per step (bisection fallback for a single
 constraint), from the closed-form fit where one exists (the exponential
-on a half-line, the Gaussian on the line).  One vectorized adaptive
-Gauss-Kronrod pass then re-checks the normalization and every moment of
-the solution, split at the density's modes.  Targets outside the moment
-set end at a dual
+on a half-line, the Gaussian on the line).  Its gap is relative to
+max(1, |K_i|), and a pass that fails at the starting multipliers is
+reported as such.  One vectorized adaptive Gauss-Kronrod pass then
+re-checks the normalization and every moment of the solution, split at
+the density's modes.  Targets outside the moment set end at a dual
 certificate: multipliers lam with lam.K below the infimum of lam.h over
-the domain, found inside the moment pass and raised as
-FeasibilityError.  The Tsallis
-solution keeps the same multipliers and only renormalizes, on the
-support bounded by the roots of its margin polynomial: the
+the domain, found inside the moment pass and raised as FeasibilityError.
+The Tsallis solution keeps the same multipliers and only renormalizes, on
+the support bounded by the roots of its margin polynomial: the
 transformation carries them over unchanged.  `shannon_partner` builds the
 Shannon solution with those multipliers on the image of that support
 under u, and `verify_transport` compares both normalized densities
-pointwise through the change of variables.
+pointwise through the change of variables.  Both normalizations integrate
+the densities, which take numpy arrays of nodes, on the double-exponential
+rule (`integrate_de`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,9 +43,11 @@ from .qkernel import QIndex, SupportInterval, as_qindex, q_exp
 from .quadrature import (
     DE_MAX_LEVEL,
     DE_START_LEVEL,
+    RULE_CACHE_SIZE,
     QuadratureSpec,
     de_rule,
     integrate,
+    integrate_de,
     integrate_rows,
 )
 from .transform import ConstraintFn, ConstraintSet, TransformMap, qexp_support, u_image
@@ -63,8 +68,11 @@ __all__ = [
 _EXP_ARG_MAX = 700.0  # beyond this exp() overflows a double
 
 
-def _exp_or_inf(arg: float) -> float:
-    return math.exp(arg) if arg < _EXP_ARG_MAX else math.inf
+def _exp_or_inf(arg):
+    """exp(arg), or inf where arg is not below _EXP_ARG_MAX: elementwise for
+    a numpy array, and a float for a float."""
+    value = np.where(arg < _EXP_ARG_MAX, np.exp(np.minimum(arg, _EXP_ARG_MAX)), np.inf)
+    return value if np.ndim(arg) else float(value)
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,10 @@ class ShannonSolution:
     def support(self) -> SupportInterval:
         return self.domain
 
-    def density(self, u: float) -> float:
-        if not self.domain.contains(u):
-            return 0.0
-        return _exp_or_inf(-self.mu - self.cs.potential(u))
+    def density(self, u):
+        """The density at u: elementwise for a numpy array, a float for a float."""
+        inside = self.domain.contains(u)
+        return _exp_or_inf(np.where(inside, -self.mu - self.cs.potential(u), -np.inf))
 
 
 @dataclass(frozen=True)
@@ -94,14 +102,13 @@ class TsallisSolution:
     cs: ConstraintSet
     support: SupportInterval
 
-    def density(self, x: float) -> float:
-        if not self.support.contains(x):
-            return 0.0
+    def density(self, x):
+        """The density at x: elementwise for a numpy array, a float for a float."""
         t = self.cs.potential(x)
-        if 1.0 - (1.0 - self.q.q) * t <= 0.0:
-            # only reachable inside the root-finding shell of a support edge
-            return 0.0
-        return self.C * q_exp(-t, self.q)
+        # phi <= 0 inside the support only in the root-finding shell of an edge
+        inside = self.support.contains(x) & (1.0 - (1.0 - self.q.q) * t > 0.0)
+        value = np.where(inside, self.C * q_exp(np.where(inside, -t, 0.0), self.q), 0.0)
+        return value if np.ndim(x) else float(value)
 
 
 @dataclass(frozen=True)
@@ -207,7 +214,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
 
     All three come from one vectorized pass of the nested double-exponential
     rule over nodes x_k and the matrix H[i, k] = h_i(x_k), both built once
-    per level and kept for the finest level reached.  The weights are
+    per process (`de_rule` and `_observable_matrix`).  The weights are
     shifted by min_k lam.h(x_k), so log Z is formed in log space.  A pass
     starts at that finest level and refines until it and the level below
     it (its even nodes) agree to `quad`'s tolerances; it raises
@@ -219,20 +226,17 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
     lam proves K infeasible.  The shift is never below the infimum, so a
     pass with lam.K at or above it skips the comparison and loses nothing.
     """
-    rule: dict = {}   # the finest level built so far: its level, weights and H
+    finest = [DE_START_LEVEL]     # the finest level a pass has reached
 
     def moments(lams: Sequence[float]) -> tuple[np.ndarray, float, np.ndarray]:
         lam = np.asarray(lams, dtype=float)
         gate = None if targets is None else float(lam @ targets)   # lam.K
-        for level in range(rule.get("level", DE_START_LEVEL), DE_MAX_LEVEL + 1):
+        for level in range(finest[0], DE_MAX_LEVEL + 1):
+            finest[0] = level
+            w = de_rule(domain, level)[1]
+            H = _observable_matrix(constraints, domain, level)
             # inf and nan from overflow at the outer nodes are checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                if rule.get("level") != level:
-                    rule.clear()    # release the coarser level before building this one
-                    x, w = de_rule(domain, level)
-                    rule.update(level=level, w=w,
-                                H=np.array([c.value(x) for c in constraints]))
-                w, H = rule["w"], rule["H"]
                 f = lam @ H
                 shift = float(np.min(f))
                 if not math.isfinite(shift) or np.isnan(f).any():
@@ -267,6 +271,21 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
             f"disagree for lam = {lam.tolist()}")
 
     return moments
+
+
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _observable_matrix(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
+                       level: int) -> np.ndarray:
+    """H[i, k] = h_i(x_k) on the nodes of `de_rule(domain, level)`, read-only.
+
+    Built once per process and kept in a cache of at most RULE_CACHE_SIZE
+    matrices, as the rule is.
+    """
+    x = de_rule(domain, level)[0]
+    with np.errstate(over="ignore", invalid="ignore"):   # checked by the moment pass
+        H = np.array([c.value(x) for c in constraints])
+    H.flags.writeable = False
+    return H
 
 
 def _bisection_fallback(constraint: ConstraintFn, target: float,
@@ -321,13 +340,15 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
 
     Damped Newton on E[h](lam) = K with the exact Jacobian -Cov(h), both
     taken from one batched double-exponential pass per trial point, and one
-    more full Newton step once the gap test passes;
-    single-constraint problems fall back to bracketed bisection when
-    Newton stalls.  Newton starts at the closed-form fit where there is one
-    (see `_newton_start`).  mu = log Z comes from the same pass, and one
-    vectorized adaptive Gauss-Kronrod pass re-checks the normalization and
-    every moment of the result, integrating between the modes of the
-    density.
+    more full Newton step once the gap test (max_i |E[h_i] - K_i| /
+    max(1, |K_i|) < 1e-11) passes; single-constraint problems fall back to
+    bracketed bisection when Newton stalls.  With more constraints, a
+    QuadratureError of the pass at the starting multipliers raises a
+    SolverError that says so and chains it.  Newton starts at the
+    closed-form fit where there is one (see `_newton_start`).  mu = log Z
+    comes from the same pass, and one vectorized adaptive Gauss-Kronrod
+    pass re-checks the normalization and every moment of the result,
+    integrating between the modes of the density.
 
     Raises FeasibilityError, carrying the Newton trace and the multipliers
     as `certificate`, as soon as a trial point's lam.K falls below the
@@ -352,6 +373,12 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     except FeasibilityError as exc:   # a moment pass found a certificate
         exc.trace = trace
         raise
+    except QuadratureError as exc:    # the pass at the starting multipliers failed
+        if m > 1:
+            raise SolverError(
+                f"the moment pass at the starting multipliers {lams.tolist()} "
+                f"failed: {exc}", trace=trace) from exc
+        converged = False
 
     if not converged:
         if m == 1:
@@ -398,22 +425,20 @@ def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, .
 
 
 def _newton(moments, lams: np.ndarray, targets: np.ndarray,
-            trace: list) -> tuple[np.ndarray, float | None, bool]:
+            trace: list) -> tuple[np.ndarray, float, bool]:
     """Damped Newton on E[h](lam) = K from `lams`, appending (lam, gap) to
     `trace`; returns the last accepted lam, its log Z and whether the gap
-    test passed."""
+    test passed.  The gap is max_i |E[h_i] - K_i| / max(1, |K_i|), for the
+    test and for accepting a step alike, so that targets too large for an
+    absolute 1e-11 (one ulp of 1e6 is 1.2e-10) still converge.  A
+    QuadratureError of the pass at `lams` propagates."""
+    scale = np.maximum(1.0, np.abs(targets))
     converged = False
-    log_z = None
-    try:
-        mean, log_z, cov = moments(lams)
-        gap = mean - targets
-    except QuadratureError:
-        gap = None
+    mean, log_z, cov = moments(lams)
+    gap = mean - targets
 
     for _ in range(60):
-        if gap is None:
-            break
-        norm = float(np.max(np.abs(gap)))
+        norm = float(np.max(np.abs(gap) / scale))
         trace.append((tuple(lams), norm))
         if converged:
             break
@@ -435,7 +460,7 @@ def _newton(moments, lams: np.ndarray, targets: np.ndarray,
                 damping /= 2.0
                 continue
             trial_gap = trial_mean - targets
-            if float(np.max(np.abs(trial_gap))) < norm:
+            if float(np.max(np.abs(trial_gap) / scale)) < norm:
                 lams, gap, log_z, cov = trial, trial_gap, trial_log_z, trial_cov
                 accepted = True
                 break
@@ -546,16 +571,11 @@ def normalize_tsallis(q: QIndex | float, cs: ConstraintSet,
                     f"{1.0 / (qi.q - 1.0)!r} >= 1: integral diverges",
                     tail_exponent=1.0 / (qi.q - 1.0))
 
-    def shape(x: float) -> float:
-        t = cs.potential(x)
-        if 1.0 - (1.0 - qi.q) * t <= 0.0 and qi.q > 1.0:
-            return 0.0  # root-finding shell of the edge
-        return q_exp(-t, qi)
-
-    z = integrate(shape, support, quad)
+    shape = TsallisSolution(C=1.0, q=qi, cs=cs, support=support)
+    z = integrate_de(shape.density, support, quad)
     if not (math.isfinite(z) and z > 0.0):
         raise NonNormalizableError(f"normalization integral evaluated to {z!r}")
-    return TsallisSolution(C=1.0 / z, q=qi, cs=cs, support=support)
+    return replace(shape, C=1.0 / z)
 
 
 def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
@@ -567,9 +587,8 @@ def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
     """
     u_lo, u_hi = u_image(map_.spec, tsallis.support)
     domain = SupportInterval(u_lo, u_hi, closed_lower=False, closed_upper=False)
-    cs = tsallis.cs
-    z = integrate(lambda u: _exp_or_inf(-cs.potential(u)), domain, quad)
-    return ShannonSolution(mu=math.log(z), cs=cs, domain=domain)
+    shape = ShannonSolution(mu=0.0, cs=tsallis.cs, domain=domain)
+    return replace(shape, mu=math.log(integrate_de(shape.density, domain, quad)))
 
 
 def _same_constraints(a: ConstraintSet, b: ConstraintSet) -> bool:

@@ -4,13 +4,16 @@ The deformed exponential is e_q(z) = [1 + (1-q) z]^{1/(1-q)} with the
 standard cutoff convention for q < 1 (zero wherever the bracket is not
 positive) and a hard pole at z = 1/(q-1) for q > 1.  Everything else in
 the package is built on these two evaluators and the derivative identity
-d e_q(z)/dz = e_q(z)^q.
+d e_q(z)/dz = e_q(z)^q.  `q_exp` and `SupportInterval.contains` take a
+float or a numpy array of nodes, as the quadrature rules pass them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError, DomainError, RangeError
 
@@ -75,14 +78,15 @@ class SupportInterval:
             raise ConfigurationError(
                 f"empty interval: lower={self.lower!r} upper={self.upper!r}")
 
-    def contains(self, x: float) -> bool:
-        if x < self.lower or x > self.upper:
-            return False
-        if x == self.lower:
-            return self.closed_lower and math.isfinite(self.lower)
-        if x == self.upper:
-            return self.closed_upper and math.isfinite(self.upper)
-        return True
+    def contains(self, x):
+        """Whether x lies in the interval: a bool for a float, and an
+        elementwise boolean array for a numpy array."""
+        inside = (x > self.lower) & (x < self.upper)
+        if self.closed_lower and math.isfinite(self.lower):
+            inside = inside | (x == self.lower)
+        if self.closed_upper and math.isfinite(self.upper):
+            inside = inside | (x == self.upper)
+        return inside
 
     def intersect(self, other: "SupportInterval") -> "SupportInterval":
         if self.lower > other.lower:
@@ -100,31 +104,50 @@ class SupportInterval:
         return SupportInterval(lo, hi, closed_lower=clo, closed_upper=chi)
 
 
-def q_exp(z: float, q: QIndex | float) -> float:
+def q_exp(z, q: QIndex | float):
     """Deformed exponential e_q(z) = [1 + (1-q) z]^{1/(1-q)}.
 
     Returns exp(z) on the classical branch and 0 beyond the q < 1 cutoff;
     raises DomainError at or past the q > 1 pole z = 1/(q-1), and raises
     RangeError where the value overflows a double.
-    Evaluated as exp(log1p((1-q) z)/(1-q)) for stability near the cutoff.
+    Evaluated as exp(log1p((1-q) z)/(1-q)) for stability near the cutoff,
+    by numpy: a numpy array z elementwise, returning an array, and any
+    other z as a float, returning a float.  The errors name the first
+    offending argument.
     """
     qi = as_qindex(q)
-    if not math.isfinite(z):
-        raise DomainError(f"q_exp argument must be finite, got {z!r}")
-    try:
-        if qi.is_classical():
-            return math.exp(z)
+    nodes = isinstance(z, np.ndarray) and z.ndim > 0
+    z = np.asarray(z, dtype=float)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise DomainError(f"q_exp argument must be finite, got {_first(z, ~finite)!r}")
+    cut = None
+    arg = z
+    if not qi.is_classical():
         one_minus_q = 1.0 - qi.q
-        if 1.0 + one_minus_q * z <= 0.0:
-            if qi.q < 1.0:
-                return 0.0
+        cut = 1.0 + one_minus_q * z <= 0.0
+        if not cut.any():
+            cut = None
+        elif qi.q > 1.0:
             raise DomainError(
                 f"q_exp diverges at the pole z = {1.0 / (qi.q - 1.0)!r} for "
-                f"q = {qi.q!r}; got z = {z!r}")
-        return math.exp(math.log1p(one_minus_q * z) / one_minus_q)
-    except OverflowError:
-        raise RangeError(
-            f"q_exp({z!r}) overflows a double for q = {qi.q!r}") from None
+                f"q = {qi.q!r}; got z = {_first(z, cut)!r}")
+        else:
+            arg = np.where(cut, 0.0, z)
+        arg = np.log1p(one_minus_q * arg) / one_minus_q
+    with np.errstate(over="ignore"):
+        value = np.exp(arg)
+    overflow = np.isinf(value)
+    if overflow.any():
+        raise RangeError(f"q_exp({_first(z, overflow)!r}) overflows a double for q = {qi.q!r}")
+    if cut is not None:
+        value = np.where(cut, 0.0, value)
+    return value if nodes else float(value)
+
+
+def _first(z: np.ndarray, mask: np.ndarray) -> float:
+    """The first element of z where mask holds."""
+    return float(z[mask][0]) if z.ndim else float(z)
 
 
 def q_log(y: float, q: QIndex | float) -> float:

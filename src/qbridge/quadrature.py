@@ -1,19 +1,27 @@
-"""Adaptive quadrature with a shared tolerance/truncation policy.
+"""Quadrature with a shared tolerance/truncation policy.
 
-Improper integrals of one function go through `integrate`, which wraps
-scipy's QUADPACK routines.  Infinite endpoints are handled by QUADPACK's
-internal monotone substitution; if that fails to converge, the tail is
-truncated where its remaining mass falls below `tail_mass_cut`.
+`integrate_de` integrates one function that takes an array of nodes on
+the nested double-exponential rule (Takahasi & Mori, Publ. RIMS 9 (1974)
+721), with the error from level halving.  It serves the Tsallis side:
+normalization, the Shannon partner and the averages, whose
+phi^{1/(1-q)} edges and power-law tails the rule handles.  Where it
+cannot certify a result it hands the same function to `integrate`.
+
+Improper integrals of one scalar function go through `integrate`, which
+wraps scipy's QUADPACK routines.  Infinite endpoints are handled by
+QUADPACK's internal monotone substitution; if that fails to converge, the
+tail is truncated where its remaining mass falls below `tail_mass_cut`.
 
 `integrate_rows` integrates several functions that share their nodes,
 over several pieces at once, by an adaptive Gauss-Kronrod (G10K21) rule
 in numpy, with QUADPACK's map of an infinite end.  It serves integrands
 with smooth, fast-decaying tails, such as an exponential family and its
-moments; power-law tails and edge singularities stay with `integrate`.
+moments.
 
-`de_rule` gives the fixed nodes and weights of a nested double-exponential
-rule (Takahasi & Mori, Publ. RIMS 9 (1974) 721), for batches of integrals
-that share one weight, such as the moments of an exponential family.
+`de_rule` gives the fixed nodes and weights of the double-exponential
+rule, for batches of integrals that share one weight, such as the
+moments of an exponential family.  Each rule is built once per process
+and kept read-only in a bounded cache.
 """
 
 from __future__ import annotations
@@ -21,19 +29,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ConfigurationError, QuadratureError
+from .errors import ConfigurationError, QuadratureError, RangeError
 from .qkernel import SupportInterval
 
-__all__ = ["QuadratureSpec", "integrate", "integrate_rows", "path_integral", "de_rule"]
+__all__ = ["QuadratureSpec", "integrate", "integrate_de", "integrate_rows", "path_integral",
+           "de_rule"]
 
 DE_T_MAX = 4.0       # trapezoid range in t: |pi/2 sinh t| <= 42.9 at the outermost nodes
 DE_START_LEVEL = 4   # step 1/16, 129 nodes: the first level a moment pass tries
 DE_MAX_LEVEL = 11    # finest step 2^-11, 16385 nodes
+RULE_CACHE_SIZE = 16  # DE rules (and moment matrices) kept per process, each one level
 
 # The Gauss-Kronrod pair G10K21 on [-1, 1], as in scipy's quad_vec: the
 # non-negative Kronrod nodes from the outermost in, and their weights; the
@@ -251,6 +262,7 @@ def path_integral(f: Callable[[float], float], a: float, b: float,
     return value
 
 
+@lru_cache(maxsize=RULE_CACHE_SIZE)
 def de_rule(interval: SupportInterval, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the double-exponential trapezoid rule with step
     2^-level on t in [-DE_T_MAX, DE_T_MAX].
@@ -260,18 +272,64 @@ def de_rule(interval: SupportInterval, level: int) -> tuple[np.ndarray, np.ndarr
     x = b - e^s) and the real line sinh-sinh (x = sinh s).  The rules are
     nested: nodes[::2] are the nodes of level-1, with half the weights
     weights[::2], so one pass over a level also gives the coarser estimate.
+    Each rule is built once per process and kept, read-only, in a cache of
+    at most RULE_CACHE_SIZE rules.
     """
+    a, b = interval.lower, interval.upper
     h = 2.0 ** -level
     n = int(DE_T_MAX) << level
     t = h * np.arange(-n, n + 1)
     s = 0.5 * math.pi * np.sinh(t)
     ds = h * 0.5 * math.pi * np.cosh(t)
-    a, b = interval.lower, interval.upper
     if math.isfinite(a) and math.isfinite(b):
-        return (a + (b - a) / (1.0 + np.exp(-2.0 * s)),
-                0.5 * (b - a) * ds / np.cosh(s) ** 2)
-    if math.isfinite(a):
-        return a + np.exp(s), ds * np.exp(s)
-    if math.isfinite(b):
-        return b - np.exp(s), ds * np.exp(s)
-    return np.sinh(s), ds * np.cosh(s)
+        x, w = a + (b - a) / (1.0 + np.exp(-2.0 * s)), 0.5 * (b - a) * ds / np.cosh(s) ** 2
+    elif math.isfinite(a):
+        x, w = a + np.exp(s), ds * np.exp(s)
+    elif math.isfinite(b):
+        x, w = b - np.exp(s), ds * np.exp(s)
+    else:
+        x, w = np.sinh(s), ds * np.cosh(s)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def integrate_de(f: Callable, interval: SupportInterval, spec: QuadratureSpec) -> float:
+    """Integral of f over `interval` on the nested double-exponential rule,
+    or by `integrate` where that rule cannot certify it.
+
+    f maps a numpy array of nodes to an array of values.  Levels run from
+    DE_START_LEVEL up; the first evaluates all nodes, each later one only
+    the nodes it adds, and the estimate is accepted once it and the level
+    below it differ by at most max(abs_tol, rel_tol * integral of |f|).
+    A DE rule suits the phi^{1/(1-q)} edges and power-law tails of the
+    Tsallis side.  It cannot certify a tail too heavy for t in [-4, 4]
+    (the integrand in t at an outermost node, f(x) dx/dt, is not below
+    rel_tol times the integral of |f|), levels that never agree, or a
+    value that is not finite or overflows (RangeError); then the same f
+    goes to QUADPACK's `integrate`, which calls it with one float at a time.
+    """
+    total = mass = None
+    for level in range(DE_START_LEVEL, DE_MAX_LEVEL + 1):
+        x, w = de_rule(interval, level)
+        if total is not None:
+            x, w = x[1::2], w[1::2]      # the nodes this level adds
+        try:
+            with np.errstate(all="ignore"):
+                terms = w * f(x)
+        except RangeError:
+            break
+        if not np.isfinite(terms).all():
+            break
+        if total is None:
+            coarse = 2.0 * float(terms[::2].sum())
+            total, mass = float(terms.sum()), float(np.abs(terms).sum())
+            # terms / h at t = -4 and t = 4 bound the mass past them
+            if max(abs(terms[0]), abs(terms[-1])) * 2.0 ** level > spec.rel_tol * mass:
+                break
+        else:
+            coarse = total
+            total = 0.5 * total + float(terms.sum())
+            mass = 0.5 * mass + float(np.abs(terms).sum())
+        if abs(total - coarse) <= max(spec.abs_tol, spec.rel_tol * mass):
+            return total
+    return integrate(f, interval, spec)

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import bisect, brentq
+from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -178,9 +178,11 @@ def qexp_support(q: QIndex | float, cs: ConstraintSet,
     anchor, a candidate is an edge when phi is not positive between it
     and the next candidate (or past it, for the last one): a root where
     phi touches zero without crossing, or a complex pair, is passed over.
-    Each edge is polished by bisection on a tiny bracket around the root
-    (xtol 1e-14), or on the whole bracket between the two sign checks if
-    the tiny one does not change sign.  A side with no edge is unbounded.
+    Each edge is polished by Newton's method on phi, with phi' from the
+    same coefficients, safeguarded by bisection (`_polish_edge`, xtol
+    1e-14) on a tiny bracket around the root, or on the whole bracket
+    between the two sign checks if the tiny one does not change sign.  A
+    side with no edge is unbounded.
     Cutoff edges are open (the density vanishes there).
     """
     qi = as_qindex(q)
@@ -194,7 +196,11 @@ def qexp_support(q: QIndex | float, cs: ConstraintSet,
     coeffs = [-(1.0 - qi.q) * a for a in cs.combined_coefficients()]
     coeffs[0] += 1.0
     # ascending, with the equal real parts of a complex pair merged
-    candidates = sorted(set(np.roots(coeffs[::-1]).real.tolist())) if len(coeffs) > 1 else []
+    if len(coeffs) > 2:
+        candidates = sorted(set(np.roots(coeffs[::-1]).real.tolist()))
+    else:   # the root of a line, as numpy.roots gives it, without its LAPACK call
+        candidates = [-coeffs[0] / coeffs[1]] if len(coeffs) == 2 else []
+    slope_coeffs = [k * a for k, a in enumerate(coeffs)][1:]     # phi'
 
     def edge(outward: list[float], direction: float) -> float:
         inside = anchor             # phi > 0 here
@@ -210,13 +216,47 @@ def qexp_support(q: QIndex | float, cs: ConstraintSet,
             if (direction * (tight_in - inside) > 0.0 and phi(tight_in) > 0.0
                     and direction * (probe - tight_out) > 0.0 and phi(tight_out) <= 0.0):
                 inside, probe = tight_in, tight_out
-            lo, hi = sorted((inside, probe))
-            return bisect(phi, lo, hi, xtol=1e-14, rtol=8.9e-16)
+            return _polish_edge(phi, lambda x: _horner(slope_coeffs, x), inside, probe)
         return direction * math.inf
 
     lo = edge([r for r in reversed(candidates) if r < anchor], -1.0)
     hi = edge([r for r in candidates if r > anchor], +1.0)
     return SupportInterval(lo, hi, closed_lower=False, closed_upper=False)
+
+
+def _polish_edge(phi: Callable[[float], float], slope: Callable[[float], float],
+                 inside: float, outside: float, xtol: float = 1e-14,
+                 rtol: float = 8.9e-16) -> float:
+    """The zero of phi between `inside` (phi > 0) and `outside` (phi <= 0).
+
+    Newton's method on phi with its slope phi', from the bracket's
+    midpoint, safeguarded as in Numerical Recipes' rtsafe: a step that
+    leaves the bracket, or is more than half the step before last, is
+    replaced by bisection, and every point shrinks the bracket.  It stops
+    once a step is below xtol + rtol |x|, scipy bisect's stopping test.
+    """
+    x = 0.5 * (inside + outside)
+    step = before = abs(outside - inside)
+    for _ in range(200):
+        value = phi(x)
+        if value == 0.0:
+            return x
+        if value > 0.0:
+            inside = x
+        else:
+            outside = x
+        lo, hi = (inside, outside) if inside < outside else (outside, inside)
+        d = slope(x)
+        newton = x - value / d if d != 0.0 else math.nan
+        if lo < newton < hi and abs(2.0 * value) <= abs(before * d):
+            before, step = step, abs(newton - x)
+            x = newton
+        else:
+            before, step = step, 0.5 * (hi - lo)
+            x = lo + step
+        if step < xtol + rtol * abs(x):
+            return x
+    return x
 
 
 @dataclass(frozen=True)

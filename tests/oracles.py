@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 import qbridge as qb
 
 
@@ -69,8 +71,10 @@ class SupportedDensity:
     evaluator: Callable[[float], float]
     support: qb.SupportInterval
 
-    def density(self, x: float) -> float:
-        return self.evaluator(x) if self.support.contains(x) else 0.0
+    def density(self, x):
+        """The evaluator where x lies in the support, else 0; x is a float or
+        a numpy array of nodes, as the averages pass them."""
+        return np.where(self.support.contains(x), self.evaluator(x), 0.0)
 
 
 def slope_matches_finite_difference(fn: qb.ConstraintFn, grid: Sequence[float],

@@ -97,7 +97,7 @@ def test_tmp_equals_ct_over_escort_on_shared_nodes(quad):
 
 
 def test_all_means_collapse_at_classical(exp_density, quad):
-    a = Observable(lambda x: math.sin(x) + x, "mixed")
+    a = Observable(lambda x: np.sin(x) + x, "mixed")
     linear = qb.mean_linear(exp_density, a, quad)
     ct = qb.mean_ct(exp_density, a, 1.0, quad)
     tmp = qb.mean_tmp(exp_density, a, 1.0, quad)

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import qbridge as qb
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -148,6 +151,24 @@ def test_sample_deterministic(tmp_path: Path):
     assert doc["seed"] == 7 and doc["n"] == 2000
     assert len(doc["samples"]) == 2000
     assert doc["ks_statistic"] < 0.05
+
+
+def test_sample_samples_render_as_the_list_would(tmp_path: Path):
+    # the samples array is rendered in one join, byte for byte as the
+    # recursive rendering of the same values as a list of floats
+    from qbridge import cli
+    out = tmp_path / "s.json"
+    assert cli.main(["sample", "--q", "1.5", "--lambda", "1", "--h", "identity",
+                     "--n-samples", "2000", "--seed", "3", "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert len(doc["samples"]) == 2000
+    samples = np.array(doc["samples"])
+    assert cli.emit_json({**doc, "samples": samples}) + "\n" == text
+    assert cli.emit_json({**doc, "samples": [float(v) for v in samples]}) + "\n" == text
+    assert cli.emit_json({"s": np.array([])}) == cli.emit_json({"s": []})
+    with pytest.raises(qb.ConfigurationError, match="non-finite"):
+        cli.emit_json({"s": np.array([1.0, np.inf])})
 
 
 def test_averages_json():

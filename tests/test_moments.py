@@ -252,3 +252,22 @@ def test_other_sets_keep_the_reciprocal_start(monkeypatch):
     passes = _count_passes(monkeypatch)
     _solve((X2, X4), (1.0, 1.5), REAL_LINE)
     assert list(passes[0]) == [0.5, 0.4]
+
+
+def test_relative_gap_solves_a_wide_gaussian():
+    # one ulp of 1e6 is 1.2e-10, above an absolute 1e-11 gap test; the gap is
+    # relative to max(1, |K_i|), and the exact start converges
+    observables, targets, lams, mu = _gaussian(0.0, 1e6)
+    s = _solve(observables, targets, REAL_LINE)
+    assert s.cs.multipliers == pytest.approx(lams, rel=1e-12, abs=1e-12 * max(map(abs, lams)))
+    assert s.mu == pytest.approx(mu, rel=1e-12)
+
+
+@pytest.mark.parametrize("targets", [(0.0, 1e-6), (1.0, 1.0 + 1e-6)])
+def test_a_failed_first_moment_pass_is_reported_as_such(targets):
+    # DE levels 10 and 11 disagree on a peak of width 1e-3 at the exact start
+    with pytest.raises(qb.SolverError, match="moment pass at the starting multipliers") as err:
+        _solve((X, X2), targets, REAL_LINE)
+    assert type(err.value) is qb.SolverError
+    assert isinstance(err.value.__cause__, qb.QuadratureError)
+    assert "levels 10 and 11 disagree" in str(err.value)

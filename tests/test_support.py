@@ -118,6 +118,61 @@ def test_support_edges_are_sign_changes_of_phi(q, coeffs, lam, anchor):
         assert all(phi(float(x)) > 0.0 for x in between)
 
 
+XTOL, RTOL = 1e-14, 8.9e-16     # the edge polish's stopping test, as scipy bisect's
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(0.01, 1.99).filter(lambda v: abs(v - 1.0) > 1e-3),
+       coeffs=st.lists(_coefficient, min_size=2, max_size=5),
+       lam=st.floats(0.1, 2.0), anchor=st.floats(-2.0, 2.0))
+@example(q=0.5, coeffs=[0.0, 0.0, 0.0, 0.0, 1.0], lam=1.0, anchor=0.0)
+@example(q=1.5, coeffs=[0.0, -1.0, 0.0, 1.0], lam=1.0, anchor=0.0)
+def test_edges_are_sign_changes_within_xtol(q, coeffs, lam, anchor):
+    # the polished edge lies within a few xtol of a sign change of phi, and
+    # phi stays positive from the anchor up to that distance of the edge
+    assume(any(a != 0.0 for a in coeffs[1:]))
+    cs = ConstraintSet((ConstraintFn.polynomial(coeffs),), (lam,))
+    phi_coeffs = [-(1.0 - q) * a for a in cs.combined_coefficients()]
+    phi_coeffs[0] += 1.0
+    slope_coeffs = [k * a for k, a in enumerate(phi_coeffs)][1:]
+
+    def phi(x):
+        return _horner(phi_coeffs, x)
+
+    assume(phi(anchor) > _noise(phi_coeffs, anchor))
+    support = qb.qexp_support(q, cs, anchor=anchor)
+    for edge, direction in ((support.lower, -1.0), (support.upper, 1.0)):
+        if math.isinf(edge):
+            continue
+        delta = 4.0 * (XTOL + RTOL * abs(edge))
+        inside, outside = edge - direction * delta, edge + direction * delta
+        noise = max(_noise(phi_coeffs, inside), _noise(phi_coeffs, outside))
+        assert phi(inside) > -noise
+        assert phi(outside) < noise
+        if abs(_horner(slope_coeffs, edge)) * delta > 4.0 * noise:   # resolvable
+            assert phi(inside) > 0.0 >= phi(outside)
+        between = np.linspace(anchor, edge - direction * 1e-3 * abs(edge - anchor), 501)
+        assert all(phi(float(x)) > 0.0 for x in between)
+
+
+def test_edges_are_polished_without_scipy(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy root finder called")
+
+    for name in ("bisect", "brentq"):
+        monkeypatch.setattr(scipy.optimize, name, refuse)
+        if hasattr(T, name):
+            monkeypatch.setattr(T, name, refuse)
+    cs = ConstraintSet((ConstraintFn.polynomial((0.0, 0.0, 0.0, 0.0, 1.0)),), (1.0,))
+    support = qb.qexp_support(0.5, cs)
+    assert support.upper == pytest.approx(2.0 ** 0.25, rel=1e-15)
+    assert support.lower == pytest.approx(-(2.0 ** 0.25), rel=1e-15)
+    support = qb.qexp_support(0.5, _margin_cs(0.5, 10.0, 1e-6, 1.0, -1.0))
+    assert support.upper == pytest.approx(10.0 - 1e-3, rel=1e-9)
+
+
 # ------------------------------------------------------- one-Horner potential
 
 @settings(max_examples=150, deadline=None)
