@@ -118,31 +118,36 @@ def q_exp(z, q: QIndex | float):
     qi = as_qindex(q)
     nodes = isinstance(z, np.ndarray) and z.ndim > 0
     z = np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):
+        if qi.is_classical():
+            value = np.exp(z)
+        else:
+            one_minus_q = 1.0 - qi.q
+            value = np.exp(np.log1p(one_minus_q * z) / one_minus_q)
+        # value + z is finite exactly where both are: every other element
+        # is a non-finite z, a point past the cutoff or pole, or an overflow
+        if not np.isfinite(value + z).all():
+            value = _checked(z, qi, value)
+    return value if nodes else float(value)
+
+
+def _checked(z: np.ndarray, qi: QIndex, value: np.ndarray) -> np.ndarray:
+    """`value`, q_exp's unchecked result, with 0 past the q < 1 cutoff; or
+    the error q_exp raises."""
     finite = np.isfinite(z)
     if not finite.all():
         raise DomainError(f"q_exp argument must be finite, got {_first(z, ~finite)!r}")
-    cut = None
-    arg = z
     if not qi.is_classical():
-        one_minus_q = 1.0 - qi.q
-        cut = 1.0 + one_minus_q * z <= 0.0
-        if not cut.any():
-            cut = None
-        elif qi.q > 1.0:
+        cut = 1.0 + (1.0 - qi.q) * z <= 0.0
+        if cut.any() and qi.q > 1.0:
             raise DomainError(
                 f"q_exp diverges at the pole z = {1.0 / (qi.q - 1.0)!r} for "
                 f"q = {qi.q!r}; got z = {_first(z, cut)!r}")
-        else:
-            arg = np.where(cut, 0.0, z)
-        arg = np.log1p(one_minus_q * arg) / one_minus_q
-    with np.errstate(over="ignore"):
-        value = np.exp(arg)
+        value = np.where(cut, 0.0, value)
     overflow = np.isinf(value)
     if overflow.any():
         raise RangeError(f"q_exp({_first(z, overflow)!r}) overflows a double for q = {qi.q!r}")
-    if cut is not None:
-        value = np.where(cut, 0.0, value)
-    return value if nodes else float(value)
+    return value
 
 
 def _first(z: np.ndarray, mask: np.ndarray) -> float:

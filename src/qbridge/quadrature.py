@@ -318,18 +318,18 @@ def integrate_de(f: Callable, interval: SupportInterval, spec: QuadratureSpec) -
                 terms = w * f(x)
         except RangeError:
             break
-        if not np.isfinite(terms).all():
-            break
         if total is None:
             coarse = 2.0 * float(terms[::2].sum())
             total, mass = float(terms.sum()), float(np.abs(terms).sum())
             # terms / h at t = -4 and t = 4 bound the mass past them
-            if max(abs(terms[0]), abs(terms[-1])) * 2.0 ** level > spec.rel_tol * mass:
+            if not (max(abs(terms[0]), abs(terms[-1])) * 2.0 ** level <= spec.rel_tol * mass):
                 break
         else:
             coarse = total
             total = 0.5 * total + float(terms.sum())
             mass = 0.5 * mass + float(np.abs(terms).sum())
+        if not math.isfinite(mass):     # some value is not finite
+            break
         if abs(total - coarse) <= max(spec.abs_tol, spec.rel_tol * mass):
             return total
     return integrate(f, interval, spec)
