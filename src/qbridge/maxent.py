@@ -2,7 +2,7 @@
 
 The Shannon solver fits multipliers to moment targets by damped Newton
 with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
-batched double-exponential pass per step (bisection fallback for a single
+batched double-exponential pass per step (a bracketed fallback for a single
 constraint), from the closed-form fit where one exists (the exponential
 on a half-line, the Gaussian on the line).  Its gap is relative to
 max(1, |K_i|), and a pass that fails at the starting multipliers is
@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import (
     ConfigurationError,
@@ -50,7 +49,8 @@ from .quadrature import (
     integrate_de,
     integrate_rows,
 )
-from .transform import ConstraintFn, ConstraintSet, TransformMap, qexp_support, u_image
+from .transform import (ConstraintFn, ConstraintSet, TransformMap, qexp_support,
+                        safeguarded_newton, u_image)
 
 __all__ = [
     "QuadratureSpec",
@@ -291,21 +291,22 @@ def _observable_matrix(constraints: tuple[ConstraintFn, ...], domain: SupportInt
 def _bisection_fallback(constraint: ConstraintFn, target: float,
                         domain: SupportInterval, quad: QuadratureSpec,
                         trace: list) -> float:
-    """Single-multiplier solve by automatic bracketing + bisection.
+    """Single-multiplier solve by automatic bracketing + safeguarded Newton.
 
     The normalized moment is strictly decreasing in the multiplier, so a
-    sign change of moment - target brackets the root.
+    sign change of moment - target brackets the root; `safeguarded_newton`
+    finishes on that bracket with the slope -Var(h) of the same moment pass.
     """
     moments = _moment_functions((constraint,), domain, quad)
 
-    def gap(lam: float) -> float:
-        return float(moments([lam])[0][0]) - target
+    def gap(lam: float) -> tuple[float, float]:
+        mean, _, cov = moments([lam])
+        return float(mean[0]) - target, -float(cov[0][0])
 
     lo = hi = 1.0
-    gap_lo = gap_hi = None
     for _ in range(60):
         try:
-            gap_hi = gap(hi)
+            gap_hi = gap(hi)[0]
         except (QuadratureError, OverflowError):
             gap_hi = None
         if gap_hi is not None and gap_hi < 0.0:
@@ -317,7 +318,7 @@ def _bisection_fallback(constraint: ConstraintFn, target: float,
             trace=trace)
     for _ in range(60):
         try:
-            gap_lo = gap(lo)
+            gap_lo = gap(lo)[0]
         except (QuadratureError, OverflowError):
             gap_lo = None
         if gap_lo is not None and gap_lo > 0.0:
@@ -331,7 +332,7 @@ def _bisection_fallback(constraint: ConstraintFn, target: float,
         raise FeasibilityError(
             f"target {target!r} is above every attainable moment on the domain",
             trace=trace)
-    return bisect(gap, lo, hi, xtol=1e-14, maxiter=200)
+    return safeguarded_newton(gap, lo, hi, xtol=1e-14)
 
 
 def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
@@ -342,9 +343,9 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     taken from one batched double-exponential pass per trial point, and one
     more full Newton step once the gap test (max_i |E[h_i] - K_i| /
     max(1, |K_i|) < 1e-11) passes; single-constraint problems fall back to
-    bracketed bisection when Newton stalls.  With more constraints, a
-    QuadratureError of the pass at the starting multipliers raises a
-    SolverError that says so and chains it.  Newton starts at the
+    a bracketed safeguarded Newton solve when Newton stalls.  With more
+    constraints, a QuadratureError of the pass at the starting multipliers
+    raises a SolverError that says so and chains it.  Newton starts at the
     closed-form fit where there is one (see `_newton_start`).  mu = log Z
     comes from the same pass, and one vectorized adaptive Gauss-Kronrod
     pass re-checks the normalization and every moment of the result,

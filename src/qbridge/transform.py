@@ -17,7 +17,10 @@ transport factor.  TransformSpec refuses the q = 2 band, once.
 For the polynomial observables accepted here lam.h is one polynomial,
 whose coefficients ConstraintSet combines once, and so is the margin
 phi(x) = 1 - (1-q) lam.h(x): the support is the interval around the
-anchor between consecutive roots of phi where it stays positive.
+anchor between consecutive roots of phi where it stays positive.  With
+e_q = phi^{1/(1-q)}, g = phi/(2-q) + c phi^{1/(q-1)} vanishes where phi
+is the constant phi*, so g's zeros are roots of phi - phi* too; they and
+the support edges end u's image, and x(u) is bracketed between them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -171,74 +173,88 @@ def _cutoff_margin(q: QIndex, cs: ConstraintSet) -> Callable[[float], float]:
 
 def qexp_support(q: QIndex | float, cs: ConstraintSet,
                  anchor: float = 0.0) -> SupportInterval:
-    """Maximal interval around `anchor` where phi(x) = 1 - (1-q) dot(lam, h(x)) > 0.
+    """Maximal interval around `anchor` where phi(x) = 1 - (1-q) dot(lam, h(x)) > 0,
+    between roots of the polynomial phi (`_margin_interval`).
 
-    phi is a polynomial, so its edges are among its roots (numpy.roots).
-    The real part of every root is a candidate.  Walking outward from the
-    anchor, a candidate is an edge when phi is not positive between it
-    and the next candidate (or past it, for the last one): a root where
-    phi touches zero without crossing, or a complex pair, is passed over.
-    Each edge is polished by Newton's method on phi, with phi' from the
-    same coefficients, safeguarded by bisection (`_polish_edge`, xtol
-    1e-14) on a tiny bracket around the root, or on the whole bracket
-    between the two sign checks if the tiny one does not change sign.  A
-    side with no edge is unbounded.
-    Cutoff edges are open (the density vanishes there).
+    A side with no edge is unbounded.  Cutoff edges are open (the density
+    vanishes there).
     """
     qi = as_qindex(q)
     if qi.is_classical():
         return SupportInterval(-math.inf, math.inf,
                                closed_lower=False, closed_upper=False)
-    phi = _cutoff_margin(qi, cs)
-    if not phi(anchor) > 0.0:
-        raise ConfigurationError(
-            f"anchor {anchor!r} lies outside the q-exponential support")
-    coeffs = [-(1.0 - qi.q) * a for a in cs.combined_coefficients()]
-    coeffs[0] += 1.0
+    lo, hi = _margin_interval(qi, cs, anchor)
+    return SupportInterval(lo, hi, closed_lower=False, closed_upper=False)
+
+
+def _margin_interval(q: QIndex, cs: ConstraintSet, anchor: float,
+                     level: float = 0.0, side: float = 1.0) -> tuple[float, float]:
+    """Largest open interval around `anchor` on which the polynomial
+    p = side (phi - level) is positive, phi = 1 - (1-q) dot(lam, h).
+
+    The real part of every root of p (numpy.roots) is a candidate.
+    Walking outward from the anchor, a candidate is an edge when p is not
+    positive between it and the next candidate (or past it, for the last
+    one): a root where p touches zero without crossing, or a complex pair,
+    is passed over.  Each edge is polished by `safeguarded_newton` on p,
+    with p' from the same coefficients (xtol 1e-14), on a tiny bracket
+    around the root, or on the whole bracket between the two sign checks
+    if the tiny one does not change sign.  A side with no edge is infinite.
+    """
+    phi = _cutoff_margin(q, cs)
+
+    def p(x: float) -> float:
+        return side * (phi(x) - level)
+
+    if not p(anchor) > 0.0:
+        where = "the q-exponential support" if level == 0.0 else "g's sign interval"
+        raise ConfigurationError(f"anchor {anchor!r} lies outside {where}")
+    coeffs = [-(1.0 - q.q) * side * a for a in cs.combined_coefficients()]
+    coeffs[0] += side * (1.0 - level)
     # ascending, with the equal real parts of a complex pair merged
     if len(coeffs) > 2:
         candidates = sorted(set(np.roots(coeffs[::-1]).real.tolist()))
     else:   # the root of a line, as numpy.roots gives it, without its LAPACK call
         candidates = [-coeffs[0] / coeffs[1]] if len(coeffs) == 2 else []
-    slope_coeffs = [k * a for k, a in enumerate(coeffs)][1:]     # phi'
+    slope_coeffs = [k * a for k, a in enumerate(coeffs)][1:]     # p'
 
     def edge(outward: list[float], direction: float) -> float:
-        inside = anchor             # phi > 0 here
+        inside = anchor             # p > 0 here
         for k, r in enumerate(outward):
             probe = (0.5 * (r + outward[k + 1]) if k + 1 < len(outward)
                      else r + direction * max(1.0, abs(r)))
-            if phi(probe) > 0.0:
+            if p(probe) > 0.0:
                 inside = probe
                 continue
             width = 1e-9 * max(1.0, abs(r))
             tight_in = r - direction * width
             tight_out = r + direction * width
-            if (direction * (tight_in - inside) > 0.0 and phi(tight_in) > 0.0
-                    and direction * (probe - tight_out) > 0.0 and phi(tight_out) <= 0.0):
+            if (direction * (tight_in - inside) > 0.0 and p(tight_in) > 0.0
+                    and direction * (probe - tight_out) > 0.0 and p(tight_out) <= 0.0):
                 inside, probe = tight_in, tight_out
-            return _polish_edge(phi, lambda x: _horner(slope_coeffs, x), inside, probe)
+            return safeguarded_newton(lambda x: (p(x), _horner(slope_coeffs, x)),
+                                      inside, probe, xtol=1e-14)
         return direction * math.inf
 
-    lo = edge([r for r in reversed(candidates) if r < anchor], -1.0)
-    hi = edge([r for r in candidates if r > anchor], +1.0)
-    return SupportInterval(lo, hi, closed_lower=False, closed_upper=False)
+    return (edge([r for r in reversed(candidates) if r < anchor], -1.0),
+            edge([r for r in candidates if r > anchor], +1.0))
 
 
-def _polish_edge(phi: Callable[[float], float], slope: Callable[[float], float],
-                 inside: float, outside: float, xtol: float = 1e-14,
-                 rtol: float = 8.9e-16) -> float:
-    """The zero of phi between `inside` (phi > 0) and `outside` (phi <= 0).
+def safeguarded_newton(f: Callable[[float], tuple[float, float]],
+                       inside: float, outside: float, xtol: float) -> float:
+    """The zero of f between `inside` (f > 0) and `outside` (f <= 0).
 
-    Newton's method on phi with its slope phi', from the bracket's
-    midpoint, safeguarded as in Numerical Recipes' rtsafe: a step that
-    leaves the bracket, or is more than half the step before last, is
+    f(x) returns the value and the slope at x.  Newton's method from the
+    bracket's midpoint, safeguarded as in Numerical Recipes' rtsafe: a step
+    that leaves the bracket, or is more than half the step before last, is
     replaced by bisection, and every point shrinks the bracket.  It stops
-    once a step is below xtol + rtol |x|, scipy bisect's stopping test.
+    once a step is below xtol + 8.9e-16 |x|, the stopping test of scipy's
+    bisect and brentq.  The ends themselves are never evaluated.
     """
     x = 0.5 * (inside + outside)
     step = before = abs(outside - inside)
     for _ in range(200):
-        value = phi(x)
+        value, d = f(x)
         if value == 0.0:
             return x
         if value > 0.0:
@@ -246,7 +262,6 @@ def _polish_edge(phi: Callable[[float], float], slope: Callable[[float], float],
         else:
             outside = x
         lo, hi = (inside, outside) if inside < outside else (outside, inside)
-        d = slope(x)
         newton = x - value / d if d != 0.0 else math.nan
         if lo < newton < hi and abs(2.0 * value) <= abs(before * d):
             before, step = step, abs(newton - x)
@@ -254,7 +269,7 @@ def _polish_edge(phi: Callable[[float], float], slope: Callable[[float], float],
         else:
             before, step = step, 0.5 * (hi - lo)
             x = lo + step
-        if step < xtol + rtol * abs(x):
+        if step < xtol + 8.9e-16 * abs(x):
             return x
     return x
 
@@ -289,31 +304,72 @@ class TransformSpec:
                     f"anchor_x = {self.anchor_x!r} is not strictly inside the "
                     f"q-exponential support")
 
+    # Computed once per instance, as ConstraintSet's coefficients are.
+    @cached_property
+    def _support(self) -> SupportInterval:
+        return qexp_support(self.q, self.cs, anchor=self.anchor_x)
+
+    @cached_property
+    def _zeros(self) -> tuple[float, float]:
+        """g's nearest zeros below and above anchor_x (-inf, inf where none).
+
+        g = phi/(2-q) + c phi^{1/(q-1)} vanishes where phi = phi* =
+        (-(2-q)c)^{(1-q)/(2-q)}, which exists when -(2-q)c > 0.  If phi > phi*
+        at the anchor, both nearest roots of phi - phi* are zeros of g, also
+        where one rounds onto or past a support edge; otherwise only a root
+        inside the support is.
+        """
+        qi = self.q
+        level = -(2.0 - qi.q) * self.c
+        try:
+            phi_star = level ** ((1.0 - qi.q) / (2.0 - qi.q)) if level > 0.0 else None
+        except OverflowError:   # no float phi reaches phi*
+            phi_star = None
+        if phi_star is None:
+            return (-math.inf, math.inf)
+        side = 1.0 if _cutoff_margin(qi, self.cs)(self.anchor_x) > phi_star else -1.0
+        lo, hi = _margin_interval(qi, self.cs, self.anchor_x, phi_star, side)
+        if side < 0.0:
+            support = self._support
+            lo, hi = (lo if lo > support.lower else -math.inf,
+                      hi if hi < support.upper else math.inf)
+        return (lo, hi)
+
+    @cached_property
+    def _sign_interval(self) -> tuple[float, float]:
+        """The interval around anchor_x on which g keeps its sign: the
+        support, or up to a zero of g."""
+        (lo, hi), support = self._zeros, self._support
+        return (lo if lo > -math.inf else support.lower, hi if hi < math.inf else support.upper)
+
 
 def g_general(x: float, spec: TransformSpec) -> float:
     """General closed form of the inverse Jacobian, with integration constant c.
 
-    At c = 0 it is phi/(2-q), phi = 1 - (1-q) lam.h, bitwise g_canonical and
-    with no q_exp; it raises EdgeSingularityError where phi is exactly 0.
-    Outside the support it raises DomainError.
+    e_q^{-1} [e_q^{2-q}/(2-q) + c] with e_q = phi^{1/(1-q)}, phi = 1 - (1-q)
+    lam.h, taken as phi/(2-q) + c phi^{1/(q-1)}: no q_exp, and no division
+    by an e_q that underflowed.  At c = 0 it is bitwise g_canonical, and
+    raises EdgeSingularityError where phi is exactly 0.  Outside the
+    support it raises DomainError, and RangeError where g overflows.
     """
     qi = spec.q
     t = spec.cs.potential(x)
-    if qi.is_classical() and spec.c != 0.0:
-        return 1.0 + spec.c * math.exp(t)
-    phi = 1.0 - (1.0 - qi.q) * t
-    if spec.c == 0.0 and phi == 0.0:
-        raise EdgeSingularityError(
-            f"inverse Jacobian vanishes at the support edge x = {x!r}", edge=x)
-    if not phi > 0.0:
-        raise DomainError(
-            f"x = {x!r} lies outside the q-exponential support for q = {qi.q!r}")
-    if spec.c == 0.0:
-        return phi / (2.0 - qi.q)
-    # The paper's form: as phi/(2-q) + c/e_q, g rounds differently, and the
-    # scan in _check_path_free_of_zeros misses its zero at x = 8 (q 1.5, c -0.4).
-    e = q_exp(-t, qi)
-    return (e ** (2.0 - qi.q) / (2.0 - qi.q) + spec.c) / e
+    try:
+        if qi.is_classical() and spec.c != 0.0:
+            return 1.0 + spec.c * math.exp(t)
+        phi = 1.0 - (1.0 - qi.q) * t
+        if spec.c == 0.0 and phi == 0.0:
+            raise EdgeSingularityError(
+                f"inverse Jacobian vanishes at the support edge x = {x!r}", edge=x)
+        if not phi > 0.0:
+            raise DomainError(
+                f"x = {x!r} lies outside the q-exponential support for q = {qi.q!r}")
+        if spec.c == 0.0:
+            return phi / (2.0 - qi.q)
+        return phi / (2.0 - qi.q) + spec.c * phi ** (1.0 / (qi.q - 1.0))
+    except OverflowError:
+        raise RangeError(f"the inverse Jacobian at x = {x!r} is beyond the "
+                         f"representable range") from None
 
 
 def g_canonical(x: float, spec: TransformSpec) -> float:
@@ -326,23 +382,6 @@ def g_canonical(x: float, spec: TransformSpec) -> float:
     return (1.0 - (1.0 - qi.q) * spec.cs.potential(x)) / (2.0 - qi.q)
 
 
-def _check_path_free_of_zeros(spec: TransformSpec, a: float, b: float) -> None:
-    """Reject integration paths on which g changes sign or vanishes."""
-    if spec.c == 0.0:
-        return  # canonical g = margin/(2-q) keeps one sign inside the support
-    n = 65
-    lo, hi = (a, b) if a <= b else (b, a)
-    ref = None
-    for i in range(n + 1):
-        x = lo + (hi - lo) * i / n
-        g = g_general(x, spec)
-        if g == 0.0 or (ref is not None and (g > 0.0) != ref):
-            raise EdgeSingularityError(
-                f"inverse Jacobian vanishes near x = {x!r} on the integration path",
-                edge=x)
-        ref = g > 0.0
-
-
 def _require_classical_shift(spec: TransformSpec) -> None:
     """At q = 1 the map is the shift u = x - anchor_x + anchor_u only for
     c = 0; otherwise g = 1 + c e^{lam.h} and the shift would be wrong."""
@@ -351,11 +390,45 @@ def _require_classical_shift(spec: TransformSpec) -> None:
             f"the map at q = 1 is implemented only for c = 0, got c = {spec.c!r}")
 
 
+def _path(spec: TransformSpec, x: float) -> float:
+    """u(x) as the path integral of 1/g from the anchor; x may be infinite."""
+    return spec.anchor_u + path_integral(lambda s: 1.0 / g_general(s, spec),
+                                         spec.anchor_x, x, spec.quad)
+
+
+def _edge_path(spec: TransformSpec, edge: float, direction: float) -> float:
+    """u at a support edge where 1/g is integrable (c != 0, q < 1 or q > 2).
+
+    For q > 2, 1/g ~ phi^{-1/(q-1)} puts part of the integral within an ulp
+    of the edge, where phi(x) is all rounding.  So the integral runs over
+    the distance s to the edge, with phi expanded about its root: phi =
+    s (b1 + b2 s + ...) keeps its relative precision as s -> 0.
+    """
+    qi, c = spec.q, spec.c
+    coeffs = [-(1.0 - qi.q) * a for a in spec.cs.combined_coefficients()]
+    coeffs[0] += 1.0
+    shifted = np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([edge, -direction]))
+    b = [0.0] + shifted.coef.tolist()[1:]
+
+    def inverse_g(s: float) -> float:
+        phi = _horner(b, s)
+        if not phi > 0.0:   # a root of phi that only touches 0, inside the support
+            raise DomainError(f"phi vanishes at x = {edge - direction * s!r} inside the support")
+        try:
+            return 1.0 / (phi / (2.0 - qi.q) + c * phi ** (1.0 / (qi.q - 1.0)))
+        except OverflowError:   # g is beyond floats: 1/g is 0 to double precision
+            return 0.0
+
+    return spec.anchor_u + direction * path_integral(
+        inverse_g, 0.0, direction * (edge - spec.anchor_x), spec.quad)
+
+
 def u_of_x(x: float, spec: TransformSpec) -> float:
     """Antiderivative of 1/g anchored at (anchor_x, anchor_u).
 
     Uses the logarithmic closed form when dot(lam, h) is purely linear and
-    c = 0; otherwise integrates the Jacobian numerically along the path.
+    c = 0; otherwise integrates the Jacobian numerically along the path, and
+    raises EdgeSingularityError for x at or past a zero of g.
     """
     qi = spec.q
     if qi.is_classical():
@@ -369,64 +442,63 @@ def u_of_x(x: float, spec: TransformSpec) -> float:
     if a is not None and spec.c == 0.0:
         scale = (2.0 - qi.q) / ((1.0 - qi.q) * a)
         return spec.anchor_u - scale * (math.log(phi(x)) - math.log(phi(spec.anchor_x)))
-    _check_path_free_of_zeros(spec, spec.anchor_x, x)
-    return spec.anchor_u + path_integral(lambda s: 1.0 / g_general(s, spec),
-                                         spec.anchor_x, x, spec.quad)
+    lo, hi = spec._sign_interval
+    if not lo < x < hi:
+        edge = hi if x >= hi else lo
+        raise EdgeSingularityError(
+            f"inverse Jacobian vanishes at x = {edge!r}, on the path to x = {x!r}", edge=edge)
+    return _path(spec, x)
 
 
 def u_image(spec: TransformSpec,
             interval: SupportInterval | None = None) -> tuple[float, float]:
-    """Ordered image of `interval` (default: the whole q-exponential
-    support) under u(x).
+    """Ordered image under u(x) of `interval` (default: the support).
 
-    At a finite cutoff edge the Jacobian integral diverges
-    logarithmically, so the image is unbounded there; on an unbounded
-    side it is finite exactly when the combined observable grows faster
-    than linearly.
+    An end of `interval` inside g's sign interval maps to u there.  Past it
+    the side ends where the sign interval ends, and is finite exactly when
+    the dominant term of 1/g is integrable there: never at a zero of g (a
+    simple zero); at a support edge for c != 0 with q < 1 or q > 2 (1/g is
+    1/phi for c = 0 or 1 < q < 2); at an infinite end when 1/g decays faster
+    than 1/|x|, like |x|^{-d/(q-1)} for c != 0 with 1 < q < 2 and like
+    |x|^{-d} otherwise (d: the degree of lam.h).
     """
-    qi = spec.q
+    qi, support = spec.q, spec._support
+    if interval is None:
+        interval = support
     if qi.is_classical():
         _require_classical_shift(spec)
-        if interval is None:
-            return (-math.inf, math.inf)
         shift = spec.anchor_u - spec.anchor_x
         return (interval.lower + shift, interval.upper + shift)
-    if interval is None:
-        interval = qexp_support(qi, spec.cs, anchor=spec.anchor_x)
-    phi = _cutoff_margin(qi, spec.cs)
+    sign_lo, sign_hi = spec._sign_interval
     degree = len(spec.cs.combined_coefficients()) - 1
-    increasing = g_general(spec.anchor_x, spec) > 0.0
+    middle_q = 1.0 < qi.q < 2.0
+    decay = degree / (qi.q - 1.0) if spec.c != 0.0 and middle_q else degree
+    orientation = 1.0 if g_general(spec.anchor_x, spec) > 0.0 else -1.0
 
-    def side_limit(endpoint: float, direction: float) -> float:
-        sign_u = direction * (1.0 if increasing else -1.0)
-        if math.isfinite(endpoint):
-            if phi(endpoint) > 1e-9:
-                return u_of_x(endpoint, spec)
-            if spec.c != 0.0:
-                # g need not vanish at the edge for c != 0: probe just inside
-                inset = 1e-9 * max(1.0, abs(endpoint))
-                return u_of_x(endpoint - direction * inset, spec)
-            return sign_u * math.inf  # simple zero of the margin: log divergence
-        if spec.c == 0.0 and degree >= 2:
-            return spec.anchor_u + path_integral(lambda s: 1.0 / g_general(s, spec),
-                                                 spec.anchor_x, endpoint, spec.quad)
-        if spec.c != 0.0:
-            return u_of_x(math.copysign(1e9, endpoint), spec)
-        return sign_u * math.inf  # linear tail: log divergence
+    def side_limit(end: float, sign_end: float, zero: float, direction: float) -> float:
+        if direction * (sign_end - end) > 0.0:
+            return u_of_x(end, spec)
+        if math.isinf(sign_end):
+            if decay > 1.0:
+                return _path(spec, sign_end)
+        elif sign_end != zero and spec.c != 0.0 and not middle_q:   # an edge, not a zero of g
+            return _edge_path(spec, sign_end, direction)
+        return direction * orientation * math.inf
 
-    u_lo = side_limit(interval.lower, -1.0)
-    u_hi = side_limit(interval.upper, +1.0)
+    zero_lo, zero_hi = spec._zeros
+    u_lo = side_limit(interval.lower, sign_lo, zero_lo, -1.0)
+    u_hi = side_limit(interval.upper, sign_hi, zero_hi, +1.0)
     return (u_lo, u_hi) if u_lo <= u_hi else (u_hi, u_lo)
 
 
 def x_of_u(u: float, spec: TransformSpec, *,
-           support: SupportInterval | None = None,
            image: tuple[float, float] | None = None) -> float:
-    """Inverse of u_of_x, closed-form when available, else bracketed solve.
+    """Inverse of u_of_x, closed-form when available, else safeguarded Newton.
 
-    The bracketed solve needs the support and its image u_image(spec);
-    a caller that already holds them (TransformMap) passes them in, and
-    otherwise they are computed here.
+    The root is bracketed by steps that double out from the anchor, up to
+    the end of g's sign interval, and found by `safeguarded_newton` with the
+    exact slope 1/g.  u must lie inside the image u_image(spec), which a
+    caller that holds it (TransformMap) passes in.
     """
     qi = spec.q
     if qi.is_classical():
@@ -442,42 +514,30 @@ def x_of_u(u: float, spec: TransformSpec, *,
             raise RangeError(f"u = {u!r} is beyond the representable range "
                              f"of the inverse map") from None
         return (1.0 - phi_anchor * decay) / (one_minus_q * a)
-    if support is None:
-        support = qexp_support(qi, spec.cs, anchor=spec.anchor_x)
-    lo, hi = image if image is not None else u_image(spec, support)
+    lo, hi = image if image is not None else u_image(spec)
     if not (lo < u < hi):
         raise RangeError(
             f"u = {u!r} is outside the attained range ({lo!r}, {hi!r})")
     if u == spec.anchor_u:
         return spec.anchor_x
+    sign = 1.0 if u > spec.anchor_u else -1.0
 
-    def f(x: float) -> float:
-        return u_of_x(x, spec) - u
+    def gap(x: float) -> float:     # positive on the anchor's side of the root
+        return sign * (u - u_of_x(x, spec))
 
-    f_anchor = spec.anchor_u - u
     increasing = g_general(spec.anchor_x, spec) > 0.0
-    go_up = (u > spec.anchor_u) == increasing
-    endpoint = support.upper if go_up else support.lower
-    x_prev = spec.anchor_x
-    if math.isfinite(endpoint):
-        gap = endpoint - spec.anchor_x
-        for k in range(1, 200):
-            x_try = endpoint - gap * 0.5 ** k
-            if (val := f(x_try)) == 0.0:
-                return x_try
-            if (val > 0.0) != (f_anchor > 0.0):
-                return brentq(f, min(x_prev, x_try), max(x_prev, x_try), xtol=1e-12)
-            x_prev = x_try
-    else:
-        step = max(1.0, abs(spec.anchor_x))
-        for _ in range(200):
-            x_try = x_prev + math.copysign(step, endpoint)
-            if (val := f(x_try)) == 0.0:
-                return x_try
-            if (val > 0.0) != (f_anchor > 0.0):
-                return brentq(f, min(x_prev, x_try), max(x_prev, x_try), xtol=1e-12)
-            x_prev = x_try
-            step *= 2.0
+    end = spec._sign_interval[1 if (u > spec.anchor_u) == increasing else 0]
+    direction = math.copysign(1.0, end - spec.anchor_x)
+    inside, step = spec.anchor_x, max(1.0, abs(spec.anchor_x))
+    for _ in range(200):    # steps double out from the anchor, so no path is far longer than x's
+        outside = inside + direction * step
+        if direction * (end - outside) <= 0.0:
+            outside = end
+        elif gap(outside) > 0.0:
+            inside, step = outside, 2.0 * step
+            continue
+        return safeguarded_newton(lambda x: (gap(x), -sign / g_general(x, spec)),
+                                  inside, outside, xtol=1e-12)
     raise RangeError(f"failed to bracket x for u = {u!r}")
 
 
@@ -530,14 +590,15 @@ class TransformMap:
 
     @classmethod
     def from_spec(cls, spec: TransformSpec) -> "TransformMap":
-        support = qexp_support(spec.q, spec.cs, anchor=spec.anchor_x)
+        if spec.q.is_classical():
+            _require_classical_shift(spec)
         g_anchor = g_general(spec.anchor_x, spec)
         if g_anchor == 0.0:
             raise ConfigurationError(
                 "inverse Jacobian vanishes at the anchor; pick another anchor or c")
         orientation = 1 if g_anchor > 0.0 else -1
-        return cls(spec=spec, orientation=orientation, support=support,
-                   u_image=u_image(spec, support))
+        return cls(spec=spec, orientation=orientation, support=spec._support,
+                   u_image=u_image(spec))
 
     def g(self, x: float) -> float:
         return g_general(x, self.spec)
@@ -545,12 +606,11 @@ class TransformMap:
     def J(self, x: float) -> float:
         g = self.g(x)
         if g == 0.0 or math.isinf(1.0 / g):
-            raise EdgeSingularityError(
-                f"inverse Jacobian vanishes at the support edge x = {x!r}", edge=x)
+            raise EdgeSingularityError(f"inverse Jacobian vanishes at x = {x!r}", edge=x)
         return 1.0 / g
 
     def u(self, x: float) -> float:
         return u_of_x(x, self.spec)
 
     def x(self, u: float) -> float:
-        return x_of_u(u, self.spec, support=self.support, image=self.u_image)
+        return x_of_u(u, self.spec, image=self.u_image)

@@ -282,3 +282,27 @@ def test_q_exp_overflow_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert "overflows" in err and "q = 1.00000001" in err
+
+
+@pytest.mark.parametrize("args", [
+    # e_q(-3 x^4) underflows to 0 at x = +-5, and the c term of g overflows
+    ("--q", "1.00000001", "--h", "poly:0,0,0,0,3", "--domain=-inf:inf", "--grid=-5:5:3"),
+    # inside the classical band g = 1 + c e^{lam.h}, and e^800 overflows
+    ("--q", "1.0000000001", "--h", "identity", "--anchor", "800,0", "--grid=800:801:3"),
+])
+def test_constant_near_the_classical_band_exits_typed(capsys, args):
+    code, _, _ = run_main(capsys, "transform", "--lambda", "1", "--c", "0.5", *args)
+    assert code in (0, 2, 3, 4, 5)
+
+
+def test_nonzero_constant_transports_a_linear_observable(capsys):
+    # for linear h the map carries C e_q(-lam x) onto its Shannon partner
+    # pointwise at any c; here u's image is (-inf, 2.0368819273...)
+    code, out, _ = run_main(capsys, "transform", "--q", "1.5", "--lambda", "1",
+                            "--h", "identity", "--c", "0.3", "--grid", "0:4:5")
+    assert code == 0
+    rows = [list(map(float, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 5 and all(row[-1] <= 1e-8 for row in rows)
+    code, _, _ = run_main(capsys, "verify", "--q", "1.5", "--lambda", "1",
+                          "--h", "identity", "--c", "0.3")
+    assert code == 0

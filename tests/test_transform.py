@@ -264,9 +264,65 @@ def test_u_image_tail_checks_quadrature_convergence(monkeypatch):
 def test_path_crossing_zero_raises_for_nonzero_constant():
     # with c = -0.4 the general form changes sign inside the support
     spec = make_spec(1.5, c=-0.4)
-    with pytest.raises(qb.EdgeSingularityError):
+    with pytest.raises(qb.EdgeSingularityError) as err:
         qb.u_of_x(8.0, spec)
+    assert err.value.edge == 8.0
 
+
+X, X2 = (0.0, 1.0), (0.0, 0.0, 1.0)
+INF = math.inf
+# (q, lam.h, c, ends of u's image): an end is +-inf, or the x at which the
+# oracle's integral of 1/g from the anchor 0 ends.
+NONZERO_C_IMAGES = [
+    (1.5, X, 0.3, (-INF, ("x", INF))),
+    (1.2, X, 0.5, (-INF, ("x", INF))),
+    (1.5, X2, 0.2, (("x", -INF), ("x", INF))),
+    (2.5, X, -0.3, (-INF, ("x", -2.0 / 3.0))),
+    (0.5, X, 0.3, (-INF, ("x", 2.0))),
+    (2.5, X, 0.3, (-INF, INF)),
+    (3.0, X, 0.2, (-INF, INF)),
+    (0.5, X, -0.3, (-INF, INF)),
+    (1.5, X, -0.4, (-INF, INF)),
+    (0.5, X2, 0.2, (("x", -math.sqrt(2.0)), ("x", math.sqrt(2.0)))),
+]
+
+
+# QUADPACK warns of roundoff at the algebraic singularity of 1/g at the
+# q = 2.5 support edge; its own error estimate is checked instead.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("q,coeffs,c,ends", NONZERO_C_IMAGES)
+def test_u_image_with_constant_matches_quadrature(q, coeffs, c, ends):
+    def g(x):   # the paper's form, e_q^{-1} [e_q^{2-q}/(2-q) + c]
+        e = (1.0 - (1.0 - q) * sum(a * x ** k for k, a in enumerate(coeffs))) ** (1.0 / (1.0 - q))
+        return (e ** (2.0 - q) / (2.0 - q) + c) / e
+
+    spec = make_spec(q, ConstraintSet((ConstraintFn.polynomial(coeffs),), (1.0,)), c=c)
+    image = qb.u_image(spec)
+    assert TransformMap.from_spec(spec).u_image == image
+    for got, end in zip(image, ends):
+        if isinstance(end, float):
+            assert got == end
+        else:
+            want, err = scipy_quad(lambda x: 1.0 / g(x), 0.0, end[1], epsabs=0.0,
+                                   epsrel=1e-12, limit=200)
+            assert err < 1e-9 * abs(want)
+            assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_u_image_integrates_the_edge_singularity_above_two():
+    # q = 2.5, h = -x^2, c = -0.3: 1/g ~ phi^{-2/3} at the edges +-(q-1)^{-1/2}.
+    # Oracle: x = cos(t)/sqrt(q-1) makes phi = sin(t)^2 exact near the edge.
+    q, c = 2.5, -0.3
+    spec = make_spec(q, ConstraintSet((ConstraintFn.square(),), (-1.0,)), c=c)
+
+    def integrand(t):
+        phi = math.sin(t) ** 2
+        return math.sin(t) / math.sqrt(q - 1.0) / (phi / (2.0 - q) + c * phi ** (1.0 / (q - 1.0)))
+
+    want, err = scipy_quad(integrand, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=1e-13)
+    assert err < 1e-12 * abs(want)
+    lo, hi = qb.u_image(spec)
+    assert lo == pytest.approx(want, rel=1e-10) and hi == -lo
 
 # --------------------------------------------------------------- ode residual
 
