@@ -16,6 +16,14 @@ fallback they receive one float at a time and return a float.
 mean_tmp reuses the same quadrature configuration for numerator and
 normalizer, so the ratio identity TMP = CT / X_q holds exactly at the
 evaluation level.
+
+Each average first screens the tails analytically, as normalization does:
+a q-exponential density with q > 1 decays like |x|^{-d/(q-1)} toward an
+infinite end, d the degree of lam.h, so p^s A with A of degree k decays
+like |x|^{k - s d/(q-1)}, and its integral diverges when s d/(q-1) - k
+<= 1.  That raises NonIntegrableError carrying s d/(q-1) - k as
+`tail_exponent`, where a quadrature would return a wrong finite value or
+fail to converge.  An Observable of unknown degree is not screened.
 """
 
 from __future__ import annotations
@@ -44,14 +52,15 @@ class Observable:
 
     evaluator: Callable[[float], float]
     label: str = "A"
+    degree: int | None = None   # polynomial degree of A, for the tail screen
 
     @classmethod
     def identity(cls) -> "Observable":
-        return cls(lambda x: x, "x")
+        return cls(lambda x: x, "x", 1)
 
     @classmethod
     def square(cls) -> "Observable":
-        return cls(lambda x: x * x, "x^2")
+        return cls(lambda x: x * x, "x^2", 2)
 
     def value(self, x: float) -> float:
         return self.evaluator(x)
@@ -70,14 +79,37 @@ class EscortWeight:
                                      f"finite, got {self.x_q!r}")
 
 
+def _screen_tails(p, power: float, degree: int | None, what: str) -> None:
+    """Raise NonIntegrableError when int p^power A diverges toward an
+    infinite end of p's support, A of polynomial degree `degree`.
+
+    Only a q-exponential density with q > 1 (one with `q` and `cs`) has a
+    power-law tail; any other density, or an A of unknown degree, passes.
+    """
+    qi = getattr(p, "q", None)
+    if degree is None or qi is None or qi.q <= 1.0 or qi.is_classical():
+        return
+    if math.isfinite(p.support.lower) and math.isfinite(p.support.upper):
+        return
+    decay = len(p.cs.combined_coefficients()) - 1
+    exponent = power * decay / (qi.q - 1.0) - degree
+    if exponent <= 1.0:
+        raise NonIntegrableError(
+            f"{what} diverges at q = {qi.q!r}: the integrand decays like |x|^-{exponent!r} "
+            f"toward an infinite end of the support, and {exponent!r} <= 1",
+            tail_exponent=exponent)
+
+
 def mean_linear(p, a: Observable, quad: QuadratureSpec) -> float:
     """Ordinary expectation int p A over the density's support."""
+    _screen_tails(p, 1.0, a.degree, f"the mean of {a.label}")
     return integrate_de(lambda x: p.density(x) * a.value(x), p.support, quad)
 
 
 def escort_norm(p, q: QIndex | float, quad: QuadratureSpec) -> EscortWeight:
     """Escort normalizer X_q = int p^q; equals 1 at q = 1."""
     qi = as_qindex(q)
+    _screen_tails(p, qi.q, 0, "the escort normalizer")
     try:
         x_q = integrate_de(lambda x: p.density(x) ** qi.q, p.support, quad)
     except QuadratureError as exc:
@@ -92,6 +124,7 @@ def mean_ct(p, a: Observable, q: QIndex | float, quad: QuadratureSpec) -> float:
     """Curado-Tsallis weighted expectation int p^q A (un-normalized:
     its value at A = 1 is X_q, not 1)."""
     qi = as_qindex(q)
+    _screen_tails(p, qi.q, a.degree, f"the Curado-Tsallis mean of {a.label}")
     return integrate_de(lambda x: p.density(x) ** qi.q * a.value(x), p.support, quad)
 
 

@@ -42,7 +42,12 @@ class NonNormalizableError(DomainError):
 
 
 class NonIntegrableError(QBridgeError):
-    """A requested moment or escort integral diverges."""
+    """A requested moment or escort integral diverges; carries the tail
+    exponent of its integrand when an analytic screen found it."""
+
+    def __init__(self, message: str, tail_exponent: float | None = None):
+        super().__init__(message)
+        self.tail_exponent = tail_exponent
 
 
 class QuadratureError(QBridgeError):

@@ -4,11 +4,11 @@ The Shannon solver fits multipliers to moment targets by damped Newton
 with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
 batched double-exponential pass per step (a bracketed fallback for a single
 constraint), from the closed-form fit where one exists (the exponential
-on a half-line, the Gaussian on the line).  Its gap is relative to
-max(1, |K_i|), and a pass that fails at the starting multipliers is
-reported as such.  One vectorized adaptive Gauss-Kronrod pass then
-re-checks the normalization and every moment of the solution, split at
-the density's modes.  Targets outside the moment set end at a dual
+on a half-line, the Gaussian on the line, which also starts x, x^2, x^4).
+Its gap is relative to max(1, |K_i|), an exact start takes one pass, and a
+pass that fails at the starting multipliers is reported as such.  One
+vectorized adaptive Gauss-Kronrod pass then re-checks the normalization
+and every moment of the solution, split at the density's modes.  Targets outside the moment set end at a dual
 certificate: multipliers lam with lam.K below the infimum of lam.h over
 the domain, found inside the moment pass and raised as FeasibilityError.
 The Tsallis solution keeps the same multipliers and only renormalizes, on
@@ -214,7 +214,9 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
 
     All three come from one vectorized pass of the nested double-exponential
     rule over nodes x_k and the matrix H[i, k] = h_i(x_k), both built once
-    per process (`de_rule` and `_observable_matrix`).  The weights are
+    per process (`de_rule` and `_observable_matrix`): one product of the
+    weights with [1; H] (`_moment_rows`) gives Z and every Z E[h_i] with
+    their coarse-level sums, scales and end terms.  The weights are
     shifted by min_k lam.h(x_k), so log Z is formed in log space.  A pass
     starts at that finest level and refines until it and the level below
     it (its even nodes) agree to `quad`'s tolerances; it raises
@@ -238,8 +240,8 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
             # inf and nan from overflow at the outer nodes are checked below
             with np.errstate(over="ignore", invalid="ignore"):
                 f = lam @ H
-                shift = float(np.min(f))
-                if not math.isfinite(shift) or np.isnan(f).any():
+                shift = float(f.min())      # nan if any f is nan
+                if not math.isfinite(shift):
                     raise QuadratureError(
                         f"exponent lam.h is not finite on the nodes for lam = {lam.tolist()}")
                 if gate is not None and gate < shift:
@@ -248,22 +250,21 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 np.subtract(shift, f, out=f)
                 np.exp(f, out=f)
                 f *= w
-                hf = H * f
-                z, z_coarse = f.sum(), 2.0 * f[::2].sum()
-                mean = hf.sum(axis=1) / z
-                mean_coarse = 2.0 * hf[:, ::2].sum(axis=1) / z_coarse
-                ends = np.abs(hf[:, [0, -1]]).max(axis=1)
-                scale = np.abs(hf, out=hf).sum(axis=1)
-            if not np.all(np.isfinite(mean)):
+                # rows of [1; H] times the weight: row 0 gives Z, row i Z E[h_i]
+                rows = _moment_rows(constraints, domain, level) * f
+                sums, coarse = rows.sum(axis=1), 2.0 * rows[:, ::2].sum(axis=1)
+                scale = np.abs(rows, out=rows).sum(axis=1)
+                ends = np.maximum(rows[:, 0], rows[:, -1])
+                z, mean = sums[0], sums[1:] / sums[0]
+            if not np.isfinite(mean).all():
                 raise QuadratureError(f"moments overflow on the nodes for lam = {lam.tolist()}")
-            if (max(f[0], f[-1]) > quad.rel_tol * z
-                    or np.any(ends > quad.rel_tol * scale)):
+            if (ends > quad.rel_tol * scale).any():
                 raise QuadratureError(
                     f"weight exp(-lam.h) does not decay on the domain for lam = {lam.tolist()}")
-            if (abs(z - z_coarse) <= quad.rel_tol * z
-                    and np.all(np.abs(mean - mean_coarse)
-                               <= np.maximum(quad.abs_tol, quad.rel_tol * scale / z))):
-                d = np.subtract(H, mean[:, None], out=hf)
+            if (abs(z - coarse[0]) <= quad.rel_tol * z
+                    and (np.abs(mean - coarse[1:] / coarse[0])
+                         <= np.maximum(quad.abs_tol, quad.rel_tol * scale[1:] / z)).all()):
+                d = np.subtract(H, mean[:, None], out=rows[1:])
                 cov = (d * f) @ d.T / z
                 return mean, math.log(z) - shift, cov
         raise QuadratureError(
@@ -286,6 +287,17 @@ def _observable_matrix(constraints: tuple[ConstraintFn, ...], domain: SupportInt
         H = np.array([c.value(x) for c in constraints])
     H.flags.writeable = False
     return H
+
+
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _moment_rows(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
+                 level: int) -> np.ndarray:
+    """[1; H]: a row of ones over `_observable_matrix`, read-only, so that
+    one product with the weights gives Z and every Z E[h_i] alike."""
+    H = _observable_matrix(constraints, domain, level)
+    rows = np.vstack((np.ones(H.shape[1]), H))
+    rows.flags.writeable = False
+    return rows
 
 
 def _bisection_fallback(constraint: ConstraintFn, target: float,
@@ -342,11 +354,15 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     Damped Newton on E[h](lam) = K with the exact Jacobian -Cov(h), both
     taken from one batched double-exponential pass per trial point, and one
     more full Newton step once the gap test (max_i |E[h_i] - K_i| /
-    max(1, |K_i|) < 1e-11) passes; single-constraint problems fall back to
-    a bracketed safeguarded Newton solve when Newton stalls.  With more
-    constraints, a QuadratureError of the pass at the starting multipliers
-    raises a SolverError that says so and chains it.  Newton starts at the
-    closed-form fit where there is one (see `_newton_start`).  mu = log Z
+    max(1, |K_i|) < 1e-11) passes, unless the gap is already at rounding
+    (at most 4 eps), where that step has nothing to remove;
+    single-constraint problems fall back to a bracketed safeguarded Newton
+    solve when Newton stalls.  With more constraints, a QuadratureError of
+    the pass at the starting multipliers raises a SolverError that says so
+    and chains it.  Newton starts at the closed-form fit where there is one
+    (see `_newton_start`), and such an exact start takes a single moment
+    pass; x, x^2, x^4 on the line start at the Gaussian fit of (K1, K2)
+    with a small x^4 multiplier.  mu = log Z
     comes from the same pass, and one vectorized adaptive Gauss-Kronrod
     pass re-checks the normalization and every moment of the result,
     integrating between the modes of the density.
@@ -398,7 +414,9 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     return solution
 
 
-_X, _X2 = (0.0, 1.0), (0.0, 0.0, 1.0)   # coefficients of x and x^2
+_X, _X2, _X4 = (0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 1.0)   # x, x^2, x^4
+_QUARTIC_START = 1e-3   # the x^4 multiplier of the Gaussian start, times v^2
+_ROUNDING_GAP = 4.0 * np.finfo(float).eps   # a gap the moment pass cannot resolve
 
 
 def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, ...],
@@ -409,19 +427,23 @@ def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, .
     x, x^2 on the real line with v = K2 - K1^2 > 0 is fitted by the
     Gaussian, (-K1/v, 1/(2v)).  With v <= 0, (-2 K1, 1) is a dual
     certificate: lam.K = K2 - 2 K1^2 lies at or below inf lam.h = -K1^2,
-    which the first moment pass's gate then tests.  Any other set starts at
-    1/(1+|K_i|).
+    which the first moment pass's gate then tests.  x, x^2, x^4 on the real
+    line start at the same Gaussian fit with the x^4 multiplier 1e-3/v^2,
+    small against the x^2 term over the Gaussian's width yet enough for the
+    weight to decay, and with v <= 0 at the same certificate with 0 for
+    x^4.  Any other set starts at 1/(1+|K_i|).
     """
     shape = tuple(c.coefficients for c in constraints)
     lo, hi = domain.lower, domain.upper
     if shape == (_X,) and math.isfinite(lo) and math.isinf(hi) and targets[0] > lo:
         return np.array([1.0 / (targets[0] - lo)])
-    if shape == (_X, _X2) and math.isinf(lo) and math.isinf(hi):
-        k1, k2 = targets
+    if shape in ((_X, _X2), (_X, _X2, _X4)) and math.isinf(lo) and math.isinf(hi):
+        k1, k2 = targets[:2]
         v = k2 - k1 * k1
-        if v > 0.0:
-            return np.array([(0.0 - k1) / v, 0.5 / v])   # 0 - k1: never -0.0
-        return np.array([-2.0 * k1, 1.0])
+        quartic = len(shape) - 2    # 1 with an x^4 multiplier, else 0
+        if v > 0.0:                 # 0 - k1: never -0.0
+            return np.array([(0.0 - k1) / v, 0.5 / v] + [_QUARTIC_START / (v * v)] * quartic)
+        return np.array([-2.0 * k1, 1.0] + [0.0] * quartic)
     return np.array([1.0 / (1.0 + abs(k)) for k in targets])
 
 
@@ -431,7 +453,9 @@ def _newton(moments, lams: np.ndarray, targets: np.ndarray,
     `trace`; returns the last accepted lam, its log Z and whether the gap
     test passed.  The gap is max_i |E[h_i] - K_i| / max(1, |K_i|), for the
     test and for accepting a step alike, so that targets too large for an
-    absolute 1e-11 (one ulp of 1e6 is 1.2e-10) still converge.  A
+    absolute 1e-11 (one ulp of 1e6 is 1.2e-10) still converge.  Past the
+    gap test one full step polishes lam, unless the gap is at most 4 eps:
+    then the pass at `lams` returns alone, as at an exact start.  A
     QuadratureError of the pass at `lams` propagates."""
     scale = np.maximum(1.0, np.abs(targets))
     converged = False
@@ -447,6 +471,8 @@ def _newton(moments, lams: np.ndarray, targets: np.ndarray,
         # near-singular Cov(h) (a narrow Gaussian away from 0) a gap of 1e-11
         # leaves lam, and mu = log Z with it, off by ~2e-8 relative.
         converged = norm < 1e-11
+        if norm <= _ROUNDING_GAP:
+            break       # nothing left for a polishing step to remove
         try:
             step = np.linalg.solve(cov, gap)   # d E[h] / d lam = -Cov(h)
         except np.linalg.LinAlgError:

@@ -81,6 +81,7 @@ _K21_WEIGHTS = np.array(_K21_HALF_WEIGHTS + _K21_HALF_WEIGHTS[-2::-1])
 _G10_WEIGHTS = np.zeros(21)
 _G10_WEIGHTS[1::2] = _G10_HALF_WEIGHTS + _G10_HALF_WEIGHTS[::-1]
 _GK_START = 16       # equal sub-intervals per piece in the first round
+_GK_EDGES = np.linspace(0.0, 1.0, _GK_START + 1)
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,18 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
     value, each (rows, sub-intervals), of f on the sub-intervals [lo, hi]
     in t.  Where `end` is +1 or -1 the sub-interval lies in (0, 1] and
     x = origin + end (1-t)/t; where it is 0, x = t."""
-    half = 0.5 * (hi - lo)
-    t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES
-    mapped = (end != 0.0)[:, None]
-    s = np.where(mapped, t, 1.0)          # no 1/t on the finite pieces
-    x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
-    w = half[:, None] / np.where(mapped, s * s, 1.0)
+    half = 0.5 * (hi - lo)[:, None]
+    t = (0.5 * (hi + lo))[:, None] + half * _GK_NODES
+    mapped = end != 0.0
+    if mapped.all():
+        x, w = origin[:, None] + end[:, None] * (1.0 - t) / t, half / (t * t)
+    elif not mapped.any():
+        x, w = t, half
+    else:
+        mapped = mapped[:, None]
+        s = np.where(mapped, t, 1.0)          # no 1/t on the finite pieces
+        x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
+        w = half / np.where(mapped, s * s, 1.0)
     with np.errstate(all="ignore"):
         values = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape) * w
     if not np.isfinite(values).all():
@@ -205,20 +212,21 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
     or when the sub-intervals would exceed max_subdivisions per piece (f
     does not decay toward an infinite end, or is not smooth enough).
     """
-    spans = []
+    spans = []      # (t0, t1, end, origin) of each span, as _gk21 reads them
     for part in pieces:
         a, b = part.lower, part.upper
-        spans += [(a, 0.0), (0.0, b)] if math.isinf(a) and math.isinf(b) else [(a, b)]
-    edges = np.linspace(0.0, 1.0, _GK_START + 1)
-    lo, hi, end, origin = [], [], [], []
-    for a, b in spans:
-        sign = 1.0 if math.isinf(b) else -1.0 if math.isinf(a) else 0.0
-        t0, t1 = (0.0, 1.0) if sign else (a, b)
-        lo.append(t0 + (t1 - t0) * edges[:-1])
-        hi.append(t0 + (t1 - t0) * edges[1:])
-        end.append(np.full(_GK_START, sign))
-        origin.append(np.full(_GK_START, b if sign < 0.0 else a if sign > 0.0 else 0.0))
-    lo, hi, end, origin = (np.concatenate(v) for v in (lo, hi, end, origin))
+        if math.isinf(a) and math.isinf(b):
+            spans += [(0.0, 1.0, -1.0, 0.0), (0.0, 1.0, 1.0, 0.0)]
+        elif math.isinf(b):
+            spans.append((0.0, 1.0, 1.0, a))
+        elif math.isinf(a):
+            spans.append((0.0, 1.0, -1.0, b))
+        else:
+            spans.append((a, b, 0.0, 0.0))
+    t0, t1, end, origin = np.array(spans).T
+    edges = t0[:, None] + (t1 - t0)[:, None] * _GK_EDGES     # (spans, 17)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    end, origin = np.repeat(end, _GK_START), np.repeat(origin, _GK_START)
     share = np.full(lo.size, 1.0 / lo.size)
     budget = spec.max_subdivisions * len(spans)
     value, err, mass = _gk21(f, lo, hi, end, origin)
@@ -235,14 +243,16 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
                 f"sub-intervals per piece (row {worst}: estimate "
                 f"{float(value[worst].sum())!r}, error bound {float(bound[worst])!r})",
                 estimate=float(value[worst].sum()), error_bound=float(bound[worst]))
-        mid = 0.5 * (lo[split] + hi[split])
-        new = (np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])),
-               np.tile(end[split], 2), np.tile(origin[split], 2))
+        lo_s, hi_s, end_s, origin_s = lo[split], hi[split], end[split], origin[split]
+        mid = 0.5 * (lo_s + hi_s)
+        new = (np.concatenate((lo_s, mid)), np.concatenate((mid, hi_s)),
+               np.concatenate((end_s, end_s)), np.concatenate((origin_s, origin_s)))
         keep = ~split
         parts = zip((value, err, mass), _gk21(f, *new))
         value, err, mass = (np.concatenate((old[:, keep], fresh), axis=1)
                             for old, fresh in parts)
-        share = np.concatenate((share[keep], np.tile(0.5 * share[split], 2)))
+        half_share = 0.5 * share[split]
+        share = np.concatenate((share[keep], half_share, half_share))
         lo, hi, end, origin = (np.concatenate((old[keep], fresh))
                                for old, fresh in zip((lo, hi, end, origin), new))
 

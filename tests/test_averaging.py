@@ -111,3 +111,32 @@ def test_escort_divergence_raises(quad):
     # p ~ x^{-2}: p^0.4 ~ x^{-0.8} is not integrable on the half line
     with pytest.raises(qb.NonIntegrableError):
         qb.escort_norm(heavy, 0.4, quad)
+
+
+# p ~ x^{-1/(q-1)} on the half-line, so int x p diverges from q = 1.5 on.
+# Before the screen QUADPACK returned -5.0 at (1.6, 1) and -1.85 at (1.77, 1)
+# and failed to converge at (1.75, 2.7); q = 1.5 is the boundary, |x|^-1.
+@pytest.mark.parametrize("q,lam", [(1.6, 1.0), (1.77, 1.0), (1.75, 2.7), (1.5, 1.0)])
+def test_divergent_mean_is_a_typed_error(quad, q, lam):
+    p = qb.normalize_tsallis(q, identity_cs(lam), quad, domain=HALF_LINE)
+    with pytest.raises(qb.NonIntegrableError) as err:
+        qb.mean_linear(p, X, quad)
+    assert err.value.tail_exponent == pytest.approx(1.0 / (q - 1.0) - 1.0, rel=1e-15)
+    assert err.value.tail_exponent <= 1.0
+    # p^q ~ x^{-q/(q-1)} keeps the Curado-Tsallis mean of x finite below q = 2
+    ct = qb.mean_ct(p, X, q, quad)
+    assert math.isfinite(ct) and ct > 0.0
+
+
+def test_mean_just_inside_the_screen_is_finite(quad):
+    p = qb.normalize_tsallis(1.49, identity_cs(), quad, domain=HALF_LINE)
+    # p proportional to e_q(-x) on the half-line has E[x] = 1/(3 - 2q)
+    assert qb.mean_linear(p, X, quad) == pytest.approx(1.0 / (3.0 - 2.0 * 1.49), rel=1e-8)
+
+
+def test_curado_tsallis_mean_diverges_with_the_escort_power(quad):
+    p = qb.normalize_tsallis(1.5, identity_cs(), quad, domain=HALF_LINE)
+    # p^0.9 ~ x^{-1.8}: times x it falls like x^{-0.8}
+    with pytest.raises(qb.NonIntegrableError) as err:
+        qb.mean_ct(p, X, 0.9, quad)
+    assert err.value.tail_exponent == pytest.approx(0.8, rel=1e-15)

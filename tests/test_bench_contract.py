@@ -46,3 +46,15 @@ def test_worker_operation_passes_the_oracle(workload, traced):
     assert CHECKS[workload](inp, out) == []
     if tracer is not None:
         assert tracer.missing == []
+
+
+@pytest.mark.parametrize("index", range(len(workloads.CLI_KINDS)),
+                         ids=list(workloads.CLI_KINDS))
+def test_cli_rotation_passes_the_oracle(capsys, index):
+    # one whole cli-cold rotation, run in process: a change to a command's
+    # output fails here rather than as an incorrect benchmark operation
+    from qbridge import cli
+    op = workloads.cli_op(1, index)
+    code = 0 if op["argv"] is None else cli.main(op["argv"])
+    out, err = capsys.readouterr()
+    assert oracle.check_cli(op, code, out) == [], err

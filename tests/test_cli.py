@@ -306,3 +306,23 @@ def test_nonzero_constant_transports_a_linear_observable(capsys):
     code, _, _ = run_main(capsys, "verify", "--q", "1.5", "--lambda", "1",
                           "--h", "identity", "--c", "0.3")
     assert code == 0
+
+
+def test_transform_clips_the_grid_at_a_zero_of_g(capsys):
+    # phi* = (-(2-q) c)^{(1-q)/(2-q)} = 5 is reached at x = 8: g vanishes
+    # there and changes sign past it, so x = 8, 9 and 10 are clipped
+    code, out, err = run_main(capsys, "transform", "--q", "1.5", "--lambda", "1",
+                              "--h", "identity", "--c", "-0.4", "--grid", "0:10:11")
+    assert code == 0, err
+    assert "clipped 3 grid point(s)" in err
+    rows = [list(map(float, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [float(x) for x in range(8)]
+    assert all(row[1] > 0.0 for row in rows)
+
+
+def test_averages_of_a_divergent_mean_exit_typed(capsys):
+    code, out, err = run_main(capsys, "averages", "--q", "1.75", "--lambda", "2.7",
+                              "--h", "identity", "--A", "identity")
+    assert code == 5
+    assert out == ""
+    assert "diverges" in err and "q = 1.75" in err

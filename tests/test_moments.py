@@ -236,16 +236,52 @@ def test_newton_starts_at_the_closed_form_fit(monkeypatch, observables, targets,
     assert list(passes[0]) == pytest.approx(start, rel=1e-15)
     if start[0] == 0.0:
         assert math.copysign(1.0, passes[0][0]) == 1.0   # +0.0, never -0.0
-    assert len(passes) <= 2    # the pass at the start and the polishing step
+    assert len(passes) == 1    # the gap at the exact start is at rounding: no polish
 
 
-@pytest.mark.parametrize("targets", [(1.0, 0.5), (-3.0, 8.0), (1.0, 1.0 - 1e-6)])
+@pytest.mark.parametrize("targets", [(1.0, 0.5), (-3.0, 8.0), (1.0, 1.0 - 1e-6),
+                                     (1.0, 0.5, 1.0), (-3.0, 8.0, 2.0)])
 def test_negative_variance_ends_at_the_first_moment_pass(monkeypatch, targets):
+    observables = (X, X2, X4)[:len(targets)]
     passes = _count_passes(monkeypatch)
     with pytest.raises(qb.FeasibilityError) as err:
-        _solve((X, X2), targets, REAL_LINE)
+        _solve(observables, targets, REAL_LINE)
     assert len(passes) == 1
-    assert err.value.certificate == (-2.0 * targets[0], 1.0)
+    assert err.value.certificate == (-2.0 * targets[0], 1.0, 0.0)[:len(targets)]
+
+
+def _planted(observables, p, domain):
+    """Targets E[h] of exp(-p.h) on `domain`, from scipy's QUADPACK."""
+    def weight(u):
+        return math.exp(-sum(c * o.value(u) for c, o in zip(p, observables)))
+
+    z = _scipy(weight, domain)
+    return tuple(_scipy(lambda u, o=o: weight(u) * o.value(u), domain) / z
+                 for o in observables)
+
+
+# planted (p1, p2, p4): a single well, a flat quartic, a steep one, a shifted one
+@pytest.mark.parametrize("planted", [(0.2, -0.3, 0.25), (0.0, 0.0, 0.05),
+                                     (0.5, 0.5, 0.5), (-0.5, 0.5, 0.05)])
+def test_quartic_set_starts_at_the_gaussian_fit(monkeypatch, planted):
+    targets = _planted((X, X2, X4), planted, REAL_LINE)
+    passes = _count_passes(monkeypatch)
+    s = _solve((X, X2, X4), targets, REAL_LINE)
+    k1, k2, _ = targets
+    v = k2 - k1 * k1
+    assert list(passes[0]) == pytest.approx([-k1 / v, 0.5 / v, 1e-3 / (v * v)], rel=1e-15)
+    assert len(passes) <= 9
+    assert s.cs.multipliers == pytest.approx(planted, rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p1=st.floats(-0.5, 0.5), p2=st.floats(-0.5, 0.5), p4=st.floats(0.05, 0.5))
+@example(p1=-0.5, p2=-0.5, p4=0.05)     # the deepest double well of the range
+@example(p1=0.5, p2=0.5, p4=0.5)
+def test_planted_quartic_targets_solve_to_their_multipliers(p1, p2, p4):
+    targets = _planted((X, X2, X4), (p1, p2, p4), REAL_LINE)
+    s = _solve((X, X2, X4), targets, REAL_LINE)
+    assert s.cs.multipliers == pytest.approx((p1, p2, p4), rel=1e-10, abs=1e-10)
 
 
 def test_other_sets_keep_the_reciprocal_start(monkeypatch):
