@@ -260,7 +260,7 @@ def _planted(observables, p, domain):
                  for o in observables)
 
 
-# planted (p1, p2, p4): a single well, a flat quartic, a steep one, a shifted one
+# planted (p1, p2, p4): a tilted double well, a flat quartic, a steep one, a shifted one
 @pytest.mark.parametrize("planted", [(0.2, -0.3, 0.25), (0.0, 0.0, 0.05),
                                      (0.5, 0.5, 0.5), (-0.5, 0.5, 0.05)])
 def test_quartic_set_starts_at_the_gaussian_fit(monkeypatch, planted):
