@@ -351,8 +351,7 @@ def _build_problem(cfg: RunConfig):
 
 
 def _interior_grid(cfg: RunConfig, tsallis, spec) -> list[float]:
-    """Grid points clipped to the open interior of the Tsallis support and
-    to the interval around the anchor on which g keeps its sign."""
+    """Grid points clipped to the open interior of the Tsallis support."""
     if cfg.grid is None:
         lo = max(tsallis.support.lower, spec.anchor_x - 20.0)
         hi = min(tsallis.support.upper, spec.anchor_x + 20.0)
@@ -362,13 +361,11 @@ def _interior_grid(cfg: RunConfig, tsallis, spec) -> list[float]:
         gmin, gmax, count = cfg.grid
         pts = np.linspace(gmin, gmax, count)
     margin = 1.0 - (1.0 - spec.q.q) * np.array([spec.cs.potential(x) for x in pts])
-    sign_lo, sign_hi = spec._sign_interval
     keep = [float(x) for x, m in zip(pts, margin)
-            if tsallis.support.contains(float(x)) and m > 1e-12 and sign_lo < x < sign_hi]
+            if tsallis.support.contains(float(x)) and m > 1e-12]
     dropped = len(pts) - len(keep)
     if dropped:
-        diag(f"clipped {dropped} grid point(s) outside the support interior "
-             f"or at or past a zero of g")
+        diag(f"clipped {dropped} grid point(s) outside the support interior")
     if not keep:
         raise ConfigurationError("no grid points remain inside the support")
     return keep
@@ -510,7 +507,7 @@ def cmd_averages(cfg: RunConfig) -> int:
     tsallis = normalize_tsallis(qi, cs, quad, domain=cfg.domain_interval(),
                                 anchor=cfg.anchor[0])
     kind = parse_kind(cfg.observable)
-    observable = Observable(kind.value, cfg.observable, len(kind.coefficients) - 1)
+    observable = Observable(kind.value, cfg.observable, kind.degree)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "averages",

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    EdgeSingularityError,
     FeasibilityError,
     NonNormalizableError,
     QuadratureError,
@@ -214,8 +215,8 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
 
     All three come from one vectorized pass of the nested double-exponential
     rule over nodes x_k and the matrix H[i, k] = h_i(x_k), both built once
-    per process (`de_rule` and `_observable_matrix`): one product of the
-    weights with [1; H] (`_moment_rows`) gives Z and every Z E[h_i] with
+    per process (`de_rule`, and `_moment_rows`, which holds [1; H]): one
+    product of the weights with [1; H] gives Z and every Z E[h_i] with
     their coarse-level sums, scales and end terms.  The weights are
     shifted by min_k lam.h(x_k), so log Z is formed in log space.  A pass
     starts at that finest level and refines until it and the level below
@@ -236,7 +237,8 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
         for level in range(finest[0], DE_MAX_LEVEL + 1):
             finest[0] = level
             w = de_rule(domain, level)[1]
-            H = _observable_matrix(constraints, domain, level)
+            R = _moment_rows(constraints, domain, level)
+            H = R[1:]
             # inf and nan from overflow at the outer nodes are checked below
             with np.errstate(over="ignore", invalid="ignore"):
                 f = lam @ H
@@ -251,7 +253,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 np.exp(f, out=f)
                 f *= w
                 # rows of [1; H] times the weight: row 0 gives Z, row i Z E[h_i]
-                rows = _moment_rows(constraints, domain, level) * f
+                rows = R * f
                 sums, coarse = rows.sum(axis=1), 2.0 * rows[:, ::2].sum(axis=1)
                 scale = np.abs(rows, out=rows).sum(axis=1)
                 ends = np.maximum(rows[:, 0], rows[:, -1])
@@ -275,29 +277,26 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
 
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
-def _observable_matrix(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
-                       level: int) -> np.ndarray:
-    """H[i, k] = h_i(x_k) on the nodes of `de_rule(domain, level)`, read-only.
+def _moment_rows(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
+                 level: int) -> np.ndarray:
+    """[1; H], H[i, k] = h_i(x_k) on the nodes of `de_rule(domain, level)`,
+    read-only: one product with the weights gives Z and every Z E[h_i].
 
     Built once per process and kept in a cache of at most RULE_CACHE_SIZE
     matrices, as the rule is.
     """
     x = de_rule(domain, level)[0]
     with np.errstate(over="ignore", invalid="ignore"):   # checked by the moment pass
-        H = np.array([c.value(x) for c in constraints])
-    H.flags.writeable = False
-    return H
+        rows = np.array([np.ones_like(x)] + [c.value(x) for c in constraints])
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
-def _moment_rows(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
-                 level: int) -> np.ndarray:
-    """[1; H]: a row of ones over `_observable_matrix`, read-only, so that
-    one product with the weights gives Z and every Z E[h_i] alike."""
-    H = _observable_matrix(constraints, domain, level)
-    rows = np.vstack((np.ones(H.shape[1]), H))
-    rows.flags.writeable = False
-    return rows
+def _observable_matrix(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
+                       level: int) -> np.ndarray:
+    """H, the read-only view of `_moment_rows` below its row of ones."""
+    return _moment_rows(constraints, domain, level)[1:]
 
 
 def _bisection_fallback(constraint: ConstraintFn, target: float,
@@ -610,9 +609,19 @@ def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
     """The Shannon solution matched to `tsallis` through `map_`.
 
     Same multipliers: exp(-lam.h(u)) normalized on the image of the
-    Tsallis support under u(x), open at both ends.
+    Tsallis support under u(x), open at both ends.  Raises
+    EdgeSingularityError when g vanishes inside the Tsallis support: u(x)
+    then carries only the part of it on the anchor's side of the zero,
+    whose Tsallis mass is below 1, so no normalized density matches.
     """
     u_lo, u_hi = u_image(map_.spec, tsallis.support)
+    support, (sign_lo, sign_hi) = tsallis.support, map_.spec._sign_interval
+    if support.lower < sign_lo or sign_hi < support.upper:
+        zero = sign_lo if support.lower < sign_lo else sign_hi
+        raise EdgeSingularityError(
+            f"inverse Jacobian vanishes at x = {zero!r}, inside the Tsallis support "
+            f"{support!r}: u(x) carries only the part of it before x = {zero!r}, so "
+            f"no normalized Shannon density matches", edge=zero)
     domain = SupportInterval(u_lo, u_hi, closed_lower=False, closed_upper=False)
     shape = ShannonSolution(mu=0.0, cs=tsallis.cs, domain=domain)
     return replace(shape, mu=math.log(integrate_de(shape.density, domain, quad)))

@@ -173,18 +173,12 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
     value, each (rows, sub-intervals), of f on the sub-intervals [lo, hi]
     in t.  Where `end` is +1 or -1 the sub-interval lies in (0, 1] and
     x = origin + end (1-t)/t; where it is 0, x = t."""
-    half = 0.5 * (hi - lo)[:, None]
-    t = (0.5 * (hi + lo))[:, None] + half * _GK_NODES
-    mapped = end != 0.0
-    if mapped.all():
-        x, w = origin[:, None] + end[:, None] * (1.0 - t) / t, half / (t * t)
-    elif not mapped.any():
-        x, w = t, half
-    else:
-        mapped = mapped[:, None]
-        s = np.where(mapped, t, 1.0)          # no 1/t on the finite pieces
-        x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
-        w = half / np.where(mapped, s * s, 1.0)
+    half = 0.5 * (hi - lo)
+    t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES
+    mapped = (end != 0.0)[:, None]
+    s = np.where(mapped, t, 1.0)          # no 1/t on the finite pieces
+    x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
+    w = half[:, None] / np.where(mapped, s * s, 1.0)
     with np.errstate(all="ignore"):
         values = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape) * w
     if not np.isfinite(values).all():

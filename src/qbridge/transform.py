@@ -89,6 +89,11 @@ class ConstraintFn:
             raise ConfigurationError("polynomial observable must be non-constant")
         return cls("polynomial", coeffs)
 
+    @property
+    def degree(self) -> int:
+        """Degree of h: the power of its last nonzero coefficient."""
+        return max((k for k, c in enumerate(self.coefficients) if c != 0.0), default=0)
+
     def value(self, x: float) -> float:
         return _horner(self.coefficients, x)
 

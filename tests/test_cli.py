@@ -308,16 +308,20 @@ def test_nonzero_constant_transports_a_linear_observable(capsys):
     assert code == 0
 
 
-def test_transform_clips_the_grid_at_a_zero_of_g(capsys):
-    # phi* = (-(2-q) c)^{(1-q)/(2-q)} = 5 is reached at x = 8: g vanishes
-    # there and changes sign past it, so x = 8, 9 and 10 are clipped
-    code, out, err = run_main(capsys, "transform", "--q", "1.5", "--lambda", "1",
-                              "--h", "identity", "--c", "-0.4", "--grid", "0:10:11")
-    assert code == 0, err
-    assert "clipped 3 grid point(s)" in err
-    rows = [list(map(float, line.split(","))) for line in out.strip().splitlines()[1:]]
-    assert [row[0] for row in rows] == [float(x) for x in range(8)]
-    assert all(row[1] > 0.0 for row in rows)
+@pytest.mark.parametrize("command, extra", [
+    ("transform", ("--grid", "0:10:11")),
+    ("transform", ("--grid", "0:7:8")),     # every point before the zero
+    ("verify", ()),
+])
+def test_a_zero_of_g_inside_the_support_exits_typed(capsys, command, extra):
+    # phi* = (-(2-q) c)^{(1-q)/(2-q)} = 5 is reached at x = 8: u(x) carries
+    # only [0, 8), whose Tsallis mass is 0.8, so no normalized Shannon
+    # density is its pushforward
+    code, out, err = run_main(capsys, command, "--q", "1.5", "--lambda", "1",
+                              "--h", "identity", "--c", "-0.4", *extra)
+    assert code == 3
+    assert out == ""
+    assert "inverse Jacobian vanishes at x = 8.0, inside the Tsallis support" in err
 
 
 def test_averages_of_a_divergent_mean_exit_typed(capsys):
@@ -326,3 +330,12 @@ def test_averages_of_a_divergent_mean_exit_typed(capsys):
     assert code == 5
     assert out == ""
     assert "diverges" in err and "q = 1.75" in err
+
+
+def test_averages_read_the_degree_of_a_padded_observable(capsys):
+    # poly:0,1,0 is x: p falls like x^-2.5 at q = 1.4, so the mean
+    # 1/(3 - 2q) = 5 is finite and the screen must read degree 1, not 2
+    code, out, err = run_main(capsys, "averages", "--q", "1.4", "--lambda", "1",
+                              "--h", "identity", "--A", "poly:0,1,0")
+    assert code == 0, err
+    assert json.loads(out)["linear"] == pytest.approx(5.0, rel=1e-10)
