@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     EdgeSingularityError,
     FeasibilityError,
-    InstabilityError,
     NonIntegrableError,
     NonNormalizableError,
     QBridgeError,

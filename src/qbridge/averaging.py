@@ -91,8 +91,7 @@ def _screen_tails(p, power: float, degree: int | None, what: str) -> None:
         return
     if math.isfinite(p.support.lower) and math.isfinite(p.support.upper):
         return
-    decay = len(p.cs.combined_coefficients()) - 1
-    exponent = power * decay / (qi.q - 1.0) - degree
+    exponent = power * p.cs.degree / (qi.q - 1.0) - degree
     if exponent <= 1.0:
         raise NonIntegrableError(
             f"{what} diverges at q = {qi.q!r}: the integrand decays like |x|^-{exponent!r} "

@@ -360,7 +360,7 @@ def _interior_grid(cfg: RunConfig, tsallis, spec) -> list[float]:
     else:
         gmin, gmax, count = cfg.grid
         pts = np.linspace(gmin, gmax, count)
-    margin = 1.0 - (1.0 - spec.q.q) * np.array([spec.cs.potential(x) for x in pts])
+    margin = spec.cs.margin(spec.q.q, pts)
     keep = [float(x) for x, m in zip(pts, margin)
             if tsallis.support.contains(float(x)) and m > 1e-12]
     dropped = len(pts) - len(keep)

@@ -79,7 +79,3 @@ class FeasibilityError(SolverError):
                  certificate: tuple[float, ...] | None = None):
         super().__init__(message, trace=trace)
         self.certificate = certificate
-
-
-class InstabilityError(SolverError):
-    """A fixed-step integration blew up."""

@@ -107,7 +107,7 @@ class TsallisSolution:
         """The density at x: elementwise for a numpy array, a float for a float."""
         t = self.cs.potential(x)
         # phi <= 0 inside the support only in the root-finding shell of an edge
-        inside = self.support.contains(x) & (1.0 - (1.0 - self.q.q) * t > 0.0)
+        inside = self.support.contains(x) & (self.cs.margin(self.q.q, x) > 0.0)
         value = np.where(inside, self.C * q_exp(np.where(inside, -t, 0.0), self.q), 0.0)
         return value if np.ndim(x) else float(value)
 
@@ -129,38 +129,21 @@ class TransportReport:
 _CERTIFICATE_RTOL = 1e-12
 
 
-def _critical_points(cs: ConstraintSet, domain: SupportInterval) -> list[float]:
-    """Real parts of the roots of (lam.h)' strictly inside `domain`, ascending.
-
-    Every real critical point of lam.h is among them; a complex pair adds
-    its real part, a point where (lam.h)' does not change sign.
-    """
-    coeffs = cs.combined_coefficients()
-    if len(coeffs) < 3:
-        return []
-    slope = [k * a for k, a in enumerate(coeffs)][:0:-1]   # descending
-    lo, hi = domain.lower, domain.upper
-    return sorted({r for r in np.roots(slope).real.tolist() if lo < r < hi})
-
-
 def _potential_minimum(cs: ConstraintSet, domain: SupportInterval) -> tuple[float, float]:
     """Infimum of lam.h over `domain` and a point where it is attained.
 
     lam.h is one polynomial, so the infimum is its value at a finite
     endpoint or at a critical point, and the candidates are those and
-    `_critical_points` (an extra candidate cannot lie below the minimum).
-    An infinite end toward which lam.h falls without bound gives
-    (-inf, that end).
+    the critical points inside (an extra candidate cannot lie below the
+    minimum).  An infinite end toward which lam.h falls without bound
+    gives (-inf, that end).
     """
-    coeffs = cs.combined_coefficients()
-    degree = len(coeffs) - 1
     lo, hi = domain.lower, domain.upper
-    if degree > 0:
-        if math.isinf(hi) and coeffs[-1] < 0.0:
-            return -math.inf, hi
-        if math.isinf(lo) and coeffs[-1] * (-1.0) ** degree < 0.0:
-            return -math.inf, lo
-    points = [x for x in (lo, hi) if math.isfinite(x)] + _critical_points(cs, domain)
+    for end, direction in ((hi, 1.0), (lo, -1.0)):
+        if math.isinf(end) and cs.end_sign(direction) < 0:
+            return -math.inf, end
+    points = ([x for x in (lo, hi) if math.isfinite(x)]
+              + [r for r in cs.critical_points if lo < r < hi])
     return min((cs.potential(x), x) for x in points or [0.0])
 
 
@@ -170,7 +153,7 @@ def _modes(cs: ConstraintSet, domain: SupportInterval) -> list[float]:
     (lam.h)' keeps one sign between consecutive critical points, so a
     critical point is a minimiser where that sign turns from - to +.
     """
-    points = _critical_points(cs, domain)
+    points = [r for r in cs.critical_points if domain.lower < r < domain.upper]
     if not points:
         return []
 
@@ -292,13 +275,6 @@ def _moment_rows(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
     return rows
 
 
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _observable_matrix(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
-                       level: int) -> np.ndarray:
-    """H, the read-only view of `_moment_rows` below its row of ones."""
-    return _moment_rows(constraints, domain, level)[1:]
-
-
 def _bisection_fallback(constraint: ConstraintFn, target: float,
                         domain: SupportInterval, quad: QuadratureSpec,
                         trace: list) -> float:
@@ -376,7 +352,9 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     if m > 3:
         raise ConfigurationError("bundled solver handles at most 3 constraints")
     for c, k in zip(cs.constraints, cs.targets):
-        if c.kind == "square" and k <= 0.0:
+        # x^2 >= 0 with equality only at x = 0, so K <= 0 is out of reach; a
+        # certificate needs lam.K strictly below inf lam.h and misses K = 0
+        if c.coefficients == _X2 and k <= 0.0:
             raise FeasibilityError(
                 f"square observable cannot average to non-positive target {k!r}")
 
@@ -537,19 +515,15 @@ def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
 def _tail_feasibility(qi: QIndex, cs: ConstraintSet,
                       support: SupportInterval) -> None:
     """Analytic divergence screen for unbounded support sides."""
-    coeffs = cs.combined_coefficients()
-    degree = len(coeffs) - 1
-    lead = coeffs[-1]
-    for side, unbounded in (("+inf", math.isinf(support.upper)),
-                            ("-inf", math.isinf(support.lower))):
+    for side, direction, unbounded in (("+inf", 1.0, math.isinf(support.upper)),
+                                       ("-inf", -1.0, math.isinf(support.lower))):
         if not unbounded:
             continue
-        if degree == 0:
+        if cs.degree == 0:
             raise NonNormalizableError(
                 "constant observable gives a non-decaying density on an "
                 "unbounded domain")
-        # sign of dot(lam, h) at that side
-        grows = lead > 0.0 if side == "+inf" else lead * (-1.0) ** degree > 0.0
+        grows = cs.end_sign(direction) > 0
         if qi.is_classical():
             if not grows:
                 raise NonNormalizableError(
@@ -562,7 +536,7 @@ def _tail_feasibility(qi: QIndex, cs: ConstraintSet,
             if not grows:
                 raise NonNormalizableError(
                     f"q-exponential has a pole toward {side}")
-            alpha = degree / (qi.q - 1.0)
+            alpha = cs.degree / (qi.q - 1.0)
             if alpha <= 1.0:
                 raise NonNormalizableError(
                     f"power-law tail exponent {alpha!r} <= 1 toward {side}: "
@@ -591,7 +565,7 @@ def normalize_tsallis(q: QIndex | float, cs: ConstraintSet,
     if qi.q > 1.0 and not qi.is_classical():
         for endpoint in (support.lower, support.upper):
             if math.isfinite(endpoint) and qi.q <= 2.0 and \
-                    1.0 - (1.0 - qi.q) * cs.potential(endpoint) <= 1e-12:
+                    cs.margin(qi.q, endpoint) <= 1e-12:
                 raise NonNormalizableError(
                     f"pole-side edge at x = {endpoint!r} with exponent "
                     f"{1.0 / (qi.q - 1.0)!r} >= 1: integral diverges",
@@ -628,10 +602,7 @@ def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
 
 
 def _same_constraints(a: ConstraintSet, b: ConstraintSet) -> bool:
-    return (len(a.constraints) == len(b.constraints)
-            and all(ca.coefficients == cb.coefficients
-                    for ca, cb in zip(a.constraints, b.constraints))
-            and a.multipliers == b.multipliers)
+    return a.constraints == b.constraints and a.multipliers == b.multipliers
 
 
 def verify_transport(s: ShannonSolution, t: TsallisSolution, map_: TransformMap,
@@ -684,9 +655,9 @@ def sample_and_test(t: TsallisSolution, map_: TransformMap, n: int,
     if not (0.0 < qi.q < 2.0):
         raise UnsupportedRegimeError(
             f"sampling confirmation supports 0 < q < 2, got {qi.q!r}")
-    if t.cs.size != 1 or t.cs.constraints[0].kind != "identity":
+    lam = t.cs.linear_coefficient()
+    if lam is None:
         raise ConfigurationError("sampling requires a single mean constraint")
-    lam = t.cs.multipliers[0]
     if lam <= 0.0:
         raise ConfigurationError("sampling requires a positive multiplier")
     if n < 1000:
@@ -709,7 +680,7 @@ def sample_and_test(t: TsallisSolution, map_: TransformMap, n: int,
     if qi.is_classical():
         cdf = -np.expm1(-lam * xs)
     else:
-        margin = np.maximum(1.0 - (1.0 - qi.q) * lam * xs, 0.0)
+        margin = np.maximum(t.cs.margin(qi.q, xs), 0.0)
         cdf = 1.0 - margin ** ((2.0 - qi.q) / (1.0 - qi.q))
     ranks = np.arange(1, n + 1, dtype=float)
     ks = max(float(np.max(ranks / n - cdf)),

@@ -15,9 +15,9 @@ positive for q < 2, negative for q > 2, and singular only at q = 2.
 transport factor.  TransformSpec refuses the q = 2 band, once.
 
 For the polynomial observables accepted here lam.h is one polynomial,
-whose coefficients ConstraintSet combines once, and so is the margin
-phi(x) = 1 - (1-q) lam.h(x): the support is the interval around the
-anchor between consecutive roots of phi where it stays positive.  With
+which ConstraintSet owns, and so is its margin phi(x) = 1 - (1-q) lam.h(x),
+`cs.margin(q, x)`: the support is the interval around the anchor between
+consecutive roots of phi where it stays positive.  With
 e_q = phi^{1/(1-q)}, g = phi/(2-q) + c phi^{1/(q-1)} vanishes where phi
 is the constant phi*, so g's zeros are roots of phi - phi* too; they and
 the support edges end u's image, and x(u) is bracketed between them.
@@ -60,50 +60,70 @@ __all__ = [
 ]
 
 
-def _horner(coeffs: Sequence[float], x: float) -> float:
+def _horner(coeffs: Sequence[float], x):
+    """The polynomial with ascending `coeffs` at x, a float or a numpy array."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
+def _real_roots(coeffs: Sequence[float]) -> list[float]:
+    """Distinct real parts of the roots of the polynomial `coeffs`, ascending.
+    A line's root is in closed form, exactly as numpy.roots gives it."""
+    if len(coeffs) > 2:
+        return sorted(set(np.roots(coeffs[::-1]).real.tolist()))
+    if len(coeffs) == 2:
+        return [-coeffs[0] / coeffs[1] if coeffs[0] else 0.0]
+    return []
+
+
+def _derivative(coeffs: Sequence[float]) -> list[float]:
+    """Ascending coefficients of the derivative of the polynomial `coeffs`."""
+    return [k * a for k, a in enumerate(coeffs)][1:] or [0.0]
+
+
 @dataclass(frozen=True)
 class ConstraintFn:
-    """Observable h(x) with its derivative; identity, square, or polynomial."""
+    """Observable h(x), the polynomial with ascending `coefficients`;
+    trailing zeros are dropped, so (0, 1, 0) is the identity."""
 
-    kind: str
-    coefficients: tuple[float, ...]  # ascending powers
+    coefficients: tuple[float, ...]
+
+    def __post_init__(self):
+        coeffs = [float(c) for c in self.coefficients]
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs.pop()
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @classmethod
     def identity(cls) -> "ConstraintFn":
-        return cls("identity", (0.0, 1.0))
+        return cls((0.0, 1.0))
 
     @classmethod
     def square(cls) -> "ConstraintFn":
-        return cls("square", (0.0, 0.0, 1.0))
+        return cls((0.0, 0.0, 1.0))
 
     @classmethod
     def polynomial(cls, coefficients: Sequence[float]) -> "ConstraintFn":
-        coeffs = tuple(float(c) for c in coefficients)
-        if not coeffs or all(c == 0.0 for c in coeffs[1:]):
+        fn = cls(tuple(coefficients))
+        if fn.degree < 1:
             raise ConfigurationError("polynomial observable must be non-constant")
-        return cls("polynomial", coeffs)
+        return fn
 
     @property
     def degree(self) -> int:
-        """Degree of h: the power of its last nonzero coefficient."""
-        return max((k for k, c in enumerate(self.coefficients) if c != 0.0), default=0)
+        return len(self.coefficients) - 1
 
     def value(self, x: float) -> float:
         return _horner(self.coefficients, x)
 
-    def slope(self, x: float) -> float:
-        return _horner([k * c for k, c in enumerate(self.coefficients)][1:], x)
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Observables h_i with multipliers lam_i and optional targets K_i."""
+    """Observables h_i with multipliers lam_i and optional targets K_i; the
+    one owner of the polynomial lam.h, of its degree, end signs, slope,
+    critical points and margin phi = 1 - (1-q) lam.h."""
 
     constraints: tuple[ConstraintFn, ...]
     multipliers: tuple[float, ...]
@@ -130,16 +150,17 @@ class ConstraintSet:
     def size(self) -> int:
         return len(self.constraints)
 
-    def potential(self, x: float) -> float:
-        """dot(lam, h(x)), by one Horner pass over the combined polynomial."""
-        acc = 0.0
-        for c in self._descending:
-            acc = acc * x + c
-        return acc
+    def potential(self, x):
+        """dot(lam, h(x)) for a float or numpy array x, by one Horner pass."""
+        return _horner(self._ascending, x)
 
-    def potential_slope(self, x: float) -> float:
-        """d/dx dot(lam, h(x))."""
-        return sum(m * c.slope(x) for m, c in zip(self.multipliers, self.constraints))
+    def potential_slope(self, x):
+        """d/dx dot(lam, h(x)) for a float or numpy array x, by one Horner pass."""
+        return _horner(self._slope, x)
+
+    def margin(self, q: float, x):
+        """phi(x) = 1 - (1-q) dot(lam, h(x)), positive exactly on the support."""
+        return 1.0 - (1.0 - q) * self.potential(x)
 
     def combined_coefficients(self) -> tuple[float, ...]:
         """Coefficients of dot(lam, h) as a single polynomial, trailing zeros trimmed."""
@@ -159,8 +180,24 @@ class ConstraintSet:
         return tuple(out)
 
     @cached_property
-    def _descending(self) -> tuple[float, ...]:
-        return self._ascending[::-1]
+    def _slope(self) -> tuple[float, ...]:
+        return tuple(_derivative(self._ascending))
+
+    @property
+    def degree(self) -> int:
+        """Degree of dot(lam, h); 0 when it is constant."""
+        return len(self._ascending) - 1
+
+    def end_sign(self, direction: float) -> int:
+        """Sign of dot(lam, h) toward direction * inf; 0 when it is constant."""
+        return int(np.sign(self._ascending[-1] * direction ** self.degree)) if self.degree else 0
+
+    @cached_property
+    def critical_points(self) -> tuple[float, ...]:
+        """Distinct real parts of the roots of (lam.h)', ascending: every real
+        critical point, and the real part of a complex pair, where (lam.h)'
+        keeps its sign."""
+        return tuple(_real_roots(self._slope))
 
     def linear_coefficient(self) -> float | None:
         """a when dot(lam, h(x)) == a*x exactly, else None."""
@@ -170,10 +207,12 @@ class ConstraintSet:
         return None
 
 
-def _cutoff_margin(q: QIndex, cs: ConstraintSet) -> Callable[[float], float]:
-    """phi(x) = 1 - (1-q) dot(lam, h(x)); positive exactly on the support."""
-    one_minus_q = 1.0 - q.q
-    return lambda x: 1.0 - one_minus_q * cs.potential(x)
+def _margin_coefficients(q: float, cs: ConstraintSet, level: float = 0.0,
+                         side: float = 1.0) -> list[float]:
+    """Ascending coefficients of side (phi - level), phi = 1 - (1-q) lam.h."""
+    coeffs = [-(1.0 - q) * side * a for a in cs.combined_coefficients()]
+    coeffs[0] += side * (1.0 - level)
+    return coeffs
 
 
 def qexp_support(q: QIndex | float, cs: ConstraintSet,
@@ -197,7 +236,7 @@ def _margin_interval(q: QIndex, cs: ConstraintSet, anchor: float,
     """Largest open interval around `anchor` on which the polynomial
     p = side (phi - level) is positive, phi = 1 - (1-q) dot(lam, h).
 
-    The real part of every root of p (numpy.roots) is a candidate.
+    The real part of every root of p (`_real_roots`) is a candidate.
     Walking outward from the anchor, a candidate is an edge when p is not
     positive between it and the next candidate (or past it, for the last
     one): a root where p touches zero without crossing, or a complex pair,
@@ -206,22 +245,15 @@ def _margin_interval(q: QIndex, cs: ConstraintSet, anchor: float,
     around the root, or on the whole bracket between the two sign checks
     if the tiny one does not change sign.  A side with no edge is infinite.
     """
-    phi = _cutoff_margin(q, cs)
-
     def p(x: float) -> float:
-        return side * (phi(x) - level)
+        return side * (cs.margin(q.q, x) - level)
 
     if not p(anchor) > 0.0:
         where = "the q-exponential support" if level == 0.0 else "g's sign interval"
         raise ConfigurationError(f"anchor {anchor!r} lies outside {where}")
-    coeffs = [-(1.0 - q.q) * side * a for a in cs.combined_coefficients()]
-    coeffs[0] += side * (1.0 - level)
-    # ascending, with the equal real parts of a complex pair merged
-    if len(coeffs) > 2:
-        candidates = sorted(set(np.roots(coeffs[::-1]).real.tolist()))
-    else:   # the root of a line, as numpy.roots gives it, without its LAPACK call
-        candidates = [-coeffs[0] / coeffs[1]] if len(coeffs) == 2 else []
-    slope_coeffs = [k * a for k, a in enumerate(coeffs)][1:]     # p'
+    coeffs = _margin_coefficients(q.q, cs, level, side)
+    candidates = _real_roots(coeffs)
+    slope_coeffs = _derivative(coeffs)     # p'
 
     def edge(outward: list[float], direction: float) -> float:
         inside = anchor             # p > 0 here
@@ -304,7 +336,7 @@ class TransformSpec:
                 and math.isfinite(self.anchor_u)):
             raise ConfigurationError("c and anchors must be finite")
         if not self.q.is_classical():
-            if not _cutoff_margin(self.q, self.cs)(self.anchor_x) > 0.0:
+            if not self.cs.margin(self.q.q, self.anchor_x) > 0.0:
                 raise ConfigurationError(
                     f"anchor_x = {self.anchor_x!r} is not strictly inside the "
                     f"q-exponential support")
@@ -332,7 +364,7 @@ class TransformSpec:
             phi_star = None
         if phi_star is None:
             return (-math.inf, math.inf)
-        side = 1.0 if _cutoff_margin(qi, self.cs)(self.anchor_x) > phi_star else -1.0
+        side = 1.0 if self.cs.margin(qi.q, self.anchor_x) > phi_star else -1.0
         lo, hi = _margin_interval(qi, self.cs, self.anchor_x, phi_star, side)
         if side < 0.0:
             support = self._support
@@ -358,11 +390,10 @@ def g_general(x: float, spec: TransformSpec) -> float:
     support it raises DomainError, and RangeError where g overflows.
     """
     qi = spec.q
-    t = spec.cs.potential(x)
     try:
         if qi.is_classical() and spec.c != 0.0:
-            return 1.0 + spec.c * math.exp(t)
-        phi = 1.0 - (1.0 - qi.q) * t
+            return 1.0 + spec.c * math.exp(spec.cs.potential(x))
+        phi = spec.cs.margin(qi.q, x)
         if spec.c == 0.0 and phi == 0.0:
             raise EdgeSingularityError(
                 f"inverse Jacobian vanishes at the support edge x = {x!r}", edge=x)
@@ -383,8 +414,7 @@ def g_canonical(x: float, spec: TransformSpec) -> float:
     Defined for every finite x (it is the c = 0 closed form continued
     through the support edge, where it vanishes).
     """
-    qi = spec.q
-    return (1.0 - (1.0 - qi.q) * spec.cs.potential(x)) / (2.0 - qi.q)
+    return spec.cs.margin(spec.q.q, x) / (2.0 - spec.q.q)
 
 
 def _require_classical_shift(spec: TransformSpec) -> None:
@@ -410,8 +440,7 @@ def _edge_path(spec: TransformSpec, edge: float, direction: float) -> float:
     s (b1 + b2 s + ...) keeps its relative precision as s -> 0.
     """
     qi, c = spec.q, spec.c
-    coeffs = [-(1.0 - qi.q) * a for a in spec.cs.combined_coefficients()]
-    coeffs[0] += 1.0
+    coeffs = _margin_coefficients(qi.q, spec.cs)
     shifted = np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([edge, -direction]))
     b = [0.0] + shifted.coef.tolist()[1:]
 
@@ -439,14 +468,15 @@ def u_of_x(x: float, spec: TransformSpec) -> float:
     if qi.is_classical():
         _require_classical_shift(spec)
         return x - spec.anchor_x + spec.anchor_u
-    phi = _cutoff_margin(qi, spec.cs)
-    if not phi(x) > 0.0:
+    phi = spec.cs.margin(qi.q, x)
+    if not phi > 0.0:
         raise DomainError(
             f"x = {x!r} lies outside the q-exponential support for q = {qi.q!r}")
     a = spec.cs.linear_coefficient()
     if a is not None and spec.c == 0.0:
         scale = (2.0 - qi.q) / ((1.0 - qi.q) * a)
-        return spec.anchor_u - scale * (math.log(phi(x)) - math.log(phi(spec.anchor_x)))
+        phi_anchor = spec.cs.margin(qi.q, spec.anchor_x)
+        return spec.anchor_u - scale * (math.log(phi) - math.log(phi_anchor))
     lo, hi = spec._sign_interval
     if not lo < x < hi:
         edge = hi if x >= hi else lo
@@ -475,7 +505,7 @@ def u_image(spec: TransformSpec,
         shift = spec.anchor_u - spec.anchor_x
         return (interval.lower + shift, interval.upper + shift)
     sign_lo, sign_hi = spec._sign_interval
-    degree = len(spec.cs.combined_coefficients()) - 1
+    degree = spec.cs.degree
     middle_q = 1.0 < qi.q < 2.0
     decay = degree / (qi.q - 1.0) if spec.c != 0.0 and middle_q else degree
     orientation = 1.0 if g_general(spec.anchor_x, spec) > 0.0 else -1.0
@@ -512,7 +542,7 @@ def x_of_u(u: float, spec: TransformSpec, *,
     a = spec.cs.linear_coefficient()
     if a is not None and spec.c == 0.0:
         one_minus_q = 1.0 - qi.q
-        phi_anchor = 1.0 - one_minus_q * a * spec.anchor_x
+        phi_anchor = spec.cs.margin(qi.q, spec.anchor_x)
         try:
             decay = math.exp(-(one_minus_q * a / (2.0 - qi.q)) * (u - spec.anchor_u))
         except OverflowError:

@@ -2,7 +2,7 @@
 
 `solve_ode_numeric` is a fixed-step RK4 integrator that shares no
 numerics with the package, so it can check the closed-form inverse
-Jacobian from outside.
+Jacobian from outside; it raises `InstabilityError` when it blows up.
 """
 
 import math
@@ -12,6 +12,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 import qbridge as qb
+
+
+class InstabilityError(qb.SolverError):
+    """A fixed-step integration blew up."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ def solve_ode_numeric(ode: LinearODE, x_end: float,
         g += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         x = ode.x0 + (i + 1) * h
         if abs(g) > 1e12:
-            raise qb.InstabilityError(f"solution blew up at x = {x!r}: |g| > 1e12")
+            raise InstabilityError(f"solution blew up at x = {x!r}: |g| > 1e12")
         out.append((x, g))
     return out
 
@@ -77,13 +81,13 @@ class SupportedDensity:
         return np.where(self.support.contains(x), self.evaluator(x), 0.0)
 
 
-def slope_matches_finite_difference(fn: qb.ConstraintFn, grid: Sequence[float],
+def slope_matches_finite_difference(cs: qb.ConstraintSet, grid: Sequence[float],
                                     step: float = 1e-6,
                                     rel_tol: float = 1e-8) -> bool:
-    """Central-difference consistency check of fn.slope() on a grid."""
+    """Central-difference consistency check of cs.potential_slope() on a grid."""
     for x in grid:
-        fd = (fn.value(x + step) - fn.value(x - step)) / (2.0 * step)
-        exact = fn.slope(x)
+        fd = (cs.potential(x + step) - cs.potential(x - step)) / (2.0 * step)
+        exact = cs.potential_slope(x)
         if abs(fd - exact) > rel_tol * max(1.0, abs(exact)):
             return False
     return True

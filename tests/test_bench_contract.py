@@ -58,3 +58,16 @@ def test_cli_rotation_passes_the_oracle(capsys, index):
     code = 0 if op["argv"] is None else cli.main(op["argv"])
     out, err = capsys.readouterr()
     assert oracle.check_cli(op, code, out) == [], err
+
+
+def test_a_fit_op_calls_numpy_roots_only_for_the_quartic(monkeypatch):
+    # (lam.h)' is a constant for x and a line for x, x^2, whose root needs
+    # no LAPACK call; only x, x^2, x^4 has a cubic (lam.h)'
+    import numpy as np
+    real, calls = np.roots, []
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or real(p))
+    for index in range(3):
+        for solve in workloads.fit_op(7, "w0", index)["solves"]:
+            calls.clear()
+            worker.solve(solve)
+            assert len(calls) <= (1 if solve["name"] == "3c" else 0), solve["name"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -339,3 +340,51 @@ def test_averages_read_the_degree_of_a_padded_observable(capsys):
                               "--h", "identity", "--A", "poly:0,1,0")
     assert code == 0, err
     assert json.loads(out)["linear"] == pytest.approx(5.0, rel=1e-10)
+
+
+def test_a_polynomial_mean_observable_samples_as_identity(capsys):
+    # an observable is its coefficients: poly:0,1 is x
+    args = ("sample", "--q", "1.5", "--lambda", "1", "--n-samples", "2000")
+    poly = run_main(capsys, *args, "--h", "poly:0,1")
+    assert poly == run_main(capsys, *args, "--h", "identity")
+    assert poly[0] == 0
+
+
+def test_a_polynomial_square_with_a_zero_target_is_refused_as_square(capsys):
+    args = ("solve-shannon", "--q", "1", "--lambda", "1", "--K", "0", "--domain=-inf:inf")
+    poly = run_main(capsys, *args, "--h", "poly:0,0,1")
+    assert poly == run_main(capsys, *args, "--h", "square")
+    code, out, err = poly
+    assert code == 5 and out == ""
+    assert "square observable cannot average to non-positive target 0.0" in err
+
+
+_ID = ("--lambda", "1", "--h", "identity")
+# (argv, exit code, sha256 of stdout).  A change that moves any of these
+# outputs, even in a last digit, updates this table and says so in CHANGES.md.
+README_ARTIFACTS = [
+    (("transform", "--q", "0.5", *_ID, "--grid", "0:1.9:20"), 0,
+     "04f038586198c739d62c867b1702862eb1cc2d9eac75b36717d1bcaa96f6919f"),
+    (("solve-shannon", "--q", "1", *_ID, "--K", "2", "--domain", "0:inf"), 0,
+     "57ec37335358069f7315ab0396ed5ffacf6adf04a6cb33e199612db02806024b"),
+    (("verify", "--q", "0.5", *_ID), 0,
+     "bb20311911884f2f3d6225324122310b3c1bb04aa006b53c964951280ebc23a8"),
+    (("sample", "--q", "1.5", *_ID, "--n-samples", "100000", "--seed", "0"), 0,
+     "83df1b98a4b83bca430b0aec8d0a00b2072e2f40a9d672fe1f8f7a11c89dc84e"),
+    (("averages", "--q", "0.5", *_ID, "--A", "identity"), 0,
+     "f0166d11e5df0779992105fe9cbc8256566ef5cb49f89536ddc2f68eee3bb26a"),
+    (("transform", "--c", "0.3", "--q", "2.5", "--lambda", "1", "--h", "square",
+      "--domain=-inf:inf", "--grid=-2:2:9"), 0,
+     "39f37f3cc9a700863237694a1bde33d9583815adb77d0a9d58435b58f261c791"),
+    (("transform", "--c", "0.3", "--q", "0.5", *_ID, "--grid", "0:1.9:5"), 0,
+     "ebd83aa5dc84ece642f2c4ad8ef6eeedd0eb203ac02ba3f0bb7a4c6822fb0a87"),
+    (("averages", "--q", "1.4", *_ID, "--A", "poly:0,1,0"), 0,
+     "4b6a1e9cbc9fda6e53cf3886177ce6ddf0da1a21bdfa44f7cb1d1db405c7ffaa"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", README_ARTIFACTS,
+                         ids=[" ".join(a) for a, _, _ in README_ARTIFACTS])
+def test_readme_artifacts_are_pinned(capsys, argv, code, digest):
+    got, out, err = run_main(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err

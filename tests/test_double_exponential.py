@@ -248,9 +248,9 @@ def test_rules_and_observable_matrices_are_built_once_and_read_only():
     assert again[0] is x and again[1] is w
     assert not x.flags.writeable and not w.flags.writeable
     constraints = (ConstraintFn.identity(), ConstraintFn.square())
-    H = M._observable_matrix(constraints, REAL_LINE, 6)
-    assert M._observable_matrix(constraints, REAL_LINE, 6) is H
-    assert not H.flags.writeable
-    np.testing.assert_array_equal(H[1], qb.quadrature.de_rule(REAL_LINE, 6)[0] ** 2)
-    for cache in (Q.de_rule, M._observable_matrix):
+    R = M._moment_rows(constraints, REAL_LINE, 6)
+    assert M._moment_rows(constraints, REAL_LINE, 6) is R
+    assert not R.flags.writeable
+    np.testing.assert_array_equal(R[2], qb.quadrature.de_rule(REAL_LINE, 6)[0] ** 2)
+    for cache in (Q.de_rule, M._moment_rows):
         assert cache.cache_info().maxsize == Q.RULE_CACHE_SIZE

@@ -17,7 +17,7 @@ from qbridge import (
 )
 
 from conftest import HALF_LINE, REAL_LINE, identity_cs, matched_solutions, square_cs
-from oracles import LinearODE, check_square_integrable, solve_ode_numeric
+from oracles import InstabilityError, LinearODE, check_square_integrable, solve_ode_numeric
 
 
 # ---------------------------------------------------------------- quadrature
@@ -276,7 +276,7 @@ def test_ode_guards():
     with pytest.raises(qb.ConfigurationError):
         solve_ode_numeric(ode, 1.0, 50)
     growing = LinearODE(lambda x: -1.0, lambda x: 0.0, 0.0, 1.0)
-    with pytest.raises(qb.InstabilityError):
+    with pytest.raises(InstabilityError):
         solve_ode_numeric(growing, 40.0, 1000)
 
 

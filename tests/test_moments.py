@@ -229,6 +229,7 @@ def _count_passes(monkeypatch):
     ((X,), (2.0,), SupportInterval(-1.0, math.inf), [1.0 / 3.0]),
     ((X, X2), (0.5, 1.0), REAL_LINE, [-2.0 / 3.0, 2.0 / 3.0]),
     ((X, X2), (0.0, 4.0), REAL_LINE, [0.0, 0.125]),
+    ((ConstraintFn.polynomial((0.0, 1.0, 0.0)),), (2.0,), HALF_LINE, [0.5]),   # x + 0 x^2 is x
 ])
 def test_newton_starts_at_the_closed_form_fit(monkeypatch, observables, targets, domain, start):
     passes = _count_passes(monkeypatch)

@@ -2,13 +2,16 @@
 
 The properties here check qexp_support by evaluating phi(x) = 1 - (1-q)
 lam.h(x) directly, with no root finder, so they stay independent of the
-numpy.roots call they check.
+numpy.roots call they check.  The facts ConstraintSet holds about lam.h
+(degree, end signs, slope, critical points, margin) are checked against
+numpy.polynomial's polyder, polyroots and polyval.
 """
 
 import math
 import sys
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -196,11 +199,14 @@ def test_cached_coefficients_leave_equality_hash_and_repr_alone():
     used = ConstraintSet(fns, (0.3, -1.2), targets=(1.0, 2.0))
     fresh = ConstraintSet(fns, (0.3, -1.2), targets=(1.0, 2.0))
     used.potential(1.5)
+    used.potential_slope(1.5)
+    used.critical_points
     used.combined_coefficients()
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
-    assert "_descending" not in repr(used) and "_ascending" not in repr(used)
+    assert "_slope" not in repr(used) and "_ascending" not in repr(used)
+    assert "critical_points" not in repr(used)
     assert used.combined_coefficients() == (-1.2, 0.3 + 2.4, -0.6)
 
 
@@ -219,3 +225,70 @@ def test_map_inversion_reuses_the_stored_support(monkeypatch):
     assert map_.x(u) == pytest.approx(0.7, rel=1e-9)
     assert len(calls) == 1
     assert map_.x(u) == qb.x_of_u(u, spec)
+
+
+# ------------------------------------------------------ the facts about lam.h
+
+# observables of degree 1-4, some padded with trailing zeros (poly:0,1,0)
+_observables = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.lists(_signed(0.01, 3.0), min_size=d, max_size=d),
+                        _signed(0.1, 3.0).filter(lambda a: a != 0.0),
+                        st.integers(0, 2))
+    .map(lambda p: (*p[0], p[1]) + (0.0,) * p[2]))
+_sets = st.lists(st.tuples(_observables, _signed(0.1, 2.0)), min_size=1, max_size=3)
+
+
+def _oracle(terms):
+    """lam.h's ascending coefficients, trailing zeros trimmed, by numpy."""
+    total = np.zeros(1)
+    for coeffs, lam in terms:
+        total = P.polyadd(total, lam * np.array(coeffs))
+    return P.polytrim(total)
+
+
+def _cs(terms):
+    return ConstraintSet(tuple(ConstraintFn.polynomial(c) for c, _ in terms),
+                         tuple(lam for _, lam in terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=_sets, xs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5),
+       q=st.floats(0.05, 2.95))
+def test_constraint_set_holds_the_facts_about_lam_h(terms, xs, q):
+    cs, coeffs = _cs(terms), _oracle(terms)
+    degree = len(coeffs) - 1
+    assert cs.degree == degree
+    assert cs.combined_coefficients() == tuple(coeffs.tolist())
+
+    # past twice the Cauchy bound lam.h has no root and its top term dominates
+    for direction in (1.0, -1.0):
+        if degree == 0:
+            assert cs.end_sign(direction) == 0
+        else:
+            far = 2.0 * (1.0 + max(abs(a / coeffs[-1]) for a in coeffs))
+            assert cs.end_sign(direction) == np.sign(P.polyval(direction * far, coeffs))
+
+    slope = P.polyder(coeffs)
+    grid = np.array(xs)
+    along = cs.potential_slope(grid)
+    assert isinstance(along, np.ndarray)
+    for x, value in zip(xs, along):
+        assert cs.potential_slope(x) == value
+        scale = sum(abs(a) * abs(x) ** k for k, a in enumerate(slope))
+        assert abs(value - P.polyval(x, slope)) <= 8.0 * EPS * scale
+        terms_scale = 1.0 + abs(1.0 - q) * sum(abs(a) * abs(x) ** k for k, a in enumerate(coeffs))
+        phi = 1.0 - (1.0 - q) * P.polyval(x, coeffs)
+        assert abs(cs.margin(q, x) - phi) <= 8.0 * EPS * terms_scale
+    assert np.array_equal(cs.margin(q, grid), [cs.margin(q, x) for x in xs])
+
+    points = cs.critical_points
+    assert list(points) == sorted(set(points))
+    if degree < 2:
+        assert points == ()
+        return
+    expected = P.polyroots(slope).real.tolist()
+    # both sides are eigenvalues of a companion matrix, within a multiple
+    # root's eps^(1/3) of each other
+    tol = 1e-4 * (1.0 + max(abs(a / slope[-1]) for a in slope))
+    assert all(min(abs(r - e) for e in expected) <= tol for r in points)
+    assert all(min(abs(r - e) for r in points) <= tol for e in expected)

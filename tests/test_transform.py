@@ -21,15 +21,15 @@ def test_constraint_slopes_match_finite_differences():
     grid = np.linspace(-3.0, 3.0, 25)
     for fn in (ConstraintFn.identity(), ConstraintFn.square(),
                ConstraintFn.polynomial([1.0, -2.0, 0.5, 3.0])):
-        assert slope_matches_finite_difference(fn, grid)
+        assert slope_matches_finite_difference(ConstraintSet((fn,), (1.0,)), grid)
 
 
 def test_constraint_values():
     poly = ConstraintFn.polynomial([1.0, 0.0, 2.0])
     assert poly.value(2.0) == 9.0
-    assert poly.slope(2.0) == 8.0
+    assert ConstraintSet((poly,), (1.0,)).potential_slope(2.0) == 8.0
     assert ConstraintFn.square().value(-3.0) == 9.0
-    assert ConstraintFn.identity().slope(17.0) == 1.0
+    assert identity_cs().potential_slope(17.0) == 1.0
 
 
 def test_constraint_set_validation():
