@@ -106,7 +106,7 @@ class ConstraintFn:
 
     @classmethod
     def polynomial(cls, coefficients: Sequence[float]) -> "ConstraintFn":
-        fn = cls(tuple(coefficients))
+        fn = cls(coefficients)
         if fn.degree < 1:
             raise ConfigurationError("polynomial observable must be non-constant")
         return fn
