@@ -4,7 +4,9 @@ The Shannon solver fits multipliers to moment targets by damped Newton
 with the exact covariance Jacobian, taking E[h], log Z and Cov(h) from one
 batched double-exponential pass per step (a bracketed fallback for a single
 constraint), from the closed-form fit where one exists (the exponential
-on a half-line, the Gaussian on the line, which also starts x, x^2, x^4).
+on a half-line, the Gaussian on the line); x, x^2, x^4 on the line start
+at the exp(-(b x^2 + c x^4)) that matches K2 and K4/K2^2, read from a
+small table, tilted toward K1.
 Its gap is relative to max(1, |K_i|), an exact start takes one pass, and a
 pass that fails at the starting multipliers is reported as such.  One
 vectorized adaptive Gauss-Kronrod pass then re-checks the normalization
@@ -106,8 +108,9 @@ class TsallisSolution:
     def density(self, x):
         """The density at x: elementwise for a numpy array, a float for a float."""
         t = self.cs.potential(x)
-        # phi <= 0 inside the support only in the root-finding shell of an edge
-        inside = self.support.contains(x) & (self.cs.margin(self.q.q, x) > 0.0)
+        # phi = 1 - (1-q) t, as cs.margin forms it, is <= 0 inside the support
+        # only in the root-finding shell of an edge
+        inside = self.support.contains(x) & (1.0 - (1.0 - self.q.q) * t > 0.0)
         value = np.where(inside, self.C * q_exp(np.where(inside, -t, 0.0), self.q), 0.0)
         return value if np.ndim(x) else float(value)
 
@@ -336,8 +339,8 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     the pass at the starting multipliers raises a SolverError that says so
     and chains it.  Newton starts at the closed-form fit where there is one
     (see `_newton_start`), and such an exact start takes a single moment
-    pass; x, x^2, x^4 on the line start at the Gaussian fit of (K1, K2)
-    with a small x^4 multiplier.  mu = log Z
+    pass; x, x^2, x^4 on the line start at exp(-(b x^2 + c x^4)) fitted to
+    K2 and K4/K2^2, with the tilt -K1/K2.  mu = log Z
     comes from the same pass, and one vectorized adaptive Gauss-Kronrod
     pass re-checks the normalization and every moment of the result,
     integrating between the modes of the density.
@@ -394,6 +397,43 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
 _X, _X2, _X4 = (0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 1.0)   # x, x^2, x^4
 _QUARTIC_START = 1e-3   # the x^4 multiplier of the Gaussian start, times v^2
 _ROUNDING_GAP = 4.0 * np.finfo(float).eps   # a gap the moment pass cannot resolve
+_SHAPES = np.linspace(-24.0, 12.0, 97)   # r of the shapes exp(-(r y^2 + y^4)) in the table
+_SHAPE_LEVEL = 7        # the DE level of the table: 1e-15 relative against level 10
+
+
+@lru_cache(maxsize=1)
+def _kurtosis_table() -> tuple[np.ndarray, np.ndarray]:
+    """E[y^4]/E[y^2]^2 and E[y^2] of exp(-(r y^2 + y^4)) on the line, for r
+    in _SHAPES: the kurtosis rises with r from 1 (two wells) toward 3 (a
+    Gaussian).  Built from one `de_rule` on first use and kept, read-only."""
+    x, w = de_rule(SupportInterval(-math.inf, math.inf), _SHAPE_LEVEL)
+    y2 = x * x
+    f = _SHAPES[:, None] * y2 + y2 * y2
+    f = np.exp(f.min(axis=1, keepdims=True) - f) * w
+    z = f.sum(axis=1)
+    m2, m4 = (f @ y2) / z, (f @ (y2 * y2)) / z
+    table = m4 / (m2 * m2), m2
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _quartic_start(k1: float, k2: float, k4: float) -> np.ndarray | None:
+    """(a, b, c) of exp(-(a x + b x^2 + c x^4)) from the fourth moment, or
+    None when K4/K2^2 lies outside the table's kurtosis range.
+
+    The symmetric exp(-(r y^2 + y^4)) with the kurtosis K4/K2^2 is scaled
+    by x = s y, s^2 = K2/E[y^2], to E[x^2] = K2: b = r/s^2, c = 1/s^4.  The
+    tilt a = -K1/K2 moves E[x] to K1 to first order, as d E[x]/d a is minus
+    the symmetric fit's variance, K2.
+    """
+    kurtosis, m2 = _kurtosis_table()
+    ratio = k4 / (k2 * k2)
+    if not kurtosis[0] < ratio < kurtosis[-1]:
+        return None
+    r = float(np.interp(ratio, kurtosis, _SHAPES))
+    s2 = k2 / float(np.interp(r, _SHAPES, m2))
+    return np.array([(0.0 - k1) / k2, r / s2, 1.0 / (s2 * s2)])
 
 
 def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, ...],
@@ -405,10 +445,13 @@ def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, .
     Gaussian, (-K1/v, 1/(2v)).  With v <= 0, (-2 K1, 1) is a dual
     certificate: lam.K = K2 - 2 K1^2 lies at or below inf lam.h = -K1^2,
     which the first moment pass's gate then tests.  x, x^2, x^4 on the real
-    line start at the same Gaussian fit with the x^4 multiplier 1e-3/v^2,
-    small against the x^2 term over the Gaussian's width yet enough for the
-    weight to decay, and with v <= 0 at the same certificate with 0 for
-    x^4.  Any other set starts at 1/(1+|K_i|).
+    line with v > 0 start at the fourth-moment fit (`_quartic_start`): the
+    symmetric exp(-(b x^2 + c x^4)) whose K4/K2^2 matches, read from a
+    table of 97 shapes built on first use, tilted by -K1/K2.  Where K4/K2^2
+    lies outside the table they start at the Gaussian fit with the x^4
+    multiplier 1e-3/v^2, small against the x^2 term over the Gaussian's
+    width yet enough for the weight to decay; with v <= 0, at the same
+    certificate with 0 for x^4.  Any other set starts at 1/(1+|K_i|).
     """
     shape = tuple(c.coefficients for c in constraints)
     lo, hi = domain.lower, domain.upper
@@ -419,6 +462,9 @@ def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, .
         v = k2 - k1 * k1
         quartic = len(shape) - 2    # 1 with an x^4 multiplier, else 0
         if v > 0.0:                 # 0 - k1: never -0.0
+            start = _quartic_start(k1, k2, targets[2]) if quartic else None
+            if start is not None:
+                return start
             return np.array([(0.0 - k1) / v, 0.5 / v] + [_QUARTIC_START / (v * v)] * quartic)
         return np.array([-2.0 * k1, 1.0] + [0.0] * quartic)
     return np.array([1.0 / (1.0 + abs(k)) for k in targets])

@@ -1,11 +1,13 @@
 """Quadrature with a shared tolerance/truncation policy.
 
-`integrate_de` integrates one function that takes an array of nodes on
-the nested double-exponential rule (Takahasi & Mori, Publ. RIMS 9 (1974)
-721), with the error from level halving.  It serves the Tsallis side:
-normalization, the Shannon partner and the averages, whose
-phi^{1/(1-q)} edges and power-law tails the rule handles.  Where it
-cannot certify a result it hands the same function to `integrate`.
+`integrate_de_rows` integrates the rows of one function that takes an
+array of nodes on the nested double-exponential rule (Takahasi & Mori,
+Publ. RIMS 9 (1974) 721), each row accepted at its own level by level
+halving, and reports a row it cannot certify as None.  It serves the
+Tsallis side: normalization, the Shannon partner and the averages, whose
+phi^{1/(1-q)} edges and power-law tails the rule handles.
+`integrate_de` is its one-row case, and hands a function the rule cannot
+certify to `integrate`.
 
 Improper integrals of one scalar function go through `integrate`, which
 wraps scipy's QUADPACK routines.  Infinite endpoints are handled by
@@ -38,8 +40,8 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import ConfigurationError, QuadratureError, RangeError
 from .qkernel import SupportInterval
 
-__all__ = ["QuadratureSpec", "integrate", "integrate_de", "integrate_rows", "path_integral",
-           "de_rule"]
+__all__ = ["QuadratureSpec", "integrate", "integrate_de", "integrate_de_rows", "integrate_rows",
+           "path_integral", "de_rule"]
 
 DE_T_MAX = 4.0       # trapezoid range in t: |pi/2 sinh t| <= 42.9 at the outermost nodes
 DE_START_LEVEL = 4   # step 1/16, 129 nodes: the first level a moment pass tries
@@ -297,43 +299,70 @@ def de_rule(interval: SupportInterval, level: int) -> tuple[np.ndarray, np.ndarr
     return x, w
 
 
+def integrate_de_rows(f: Callable, m: int, interval: SupportInterval,
+                      spec: QuadratureSpec) -> list[float | None]:
+    """Integrals over `interval` of the m rows of f on the nested
+    double-exponential rule; None for a row the rule cannot certify.
+
+    f maps a numpy array of n nodes to an (m, n) array: m integrands on
+    shared nodes (with m = 1, an array of n values or a float).  Levels
+    run from DE_START_LEVEL up; the first evaluates all nodes, each later
+    one only the nodes it adds, and each row is accepted at its own level,
+    once its estimate and that of the level below differ by at most
+    max(abs_tol, rel_tol * integral of |row|).  A DE rule suits the
+    phi^{1/(1-q)} edges and power-law tails of the Tsallis side.  A row is
+    left uncertified when its tail is too heavy for t in [-4, 4] (the row
+    in t at an outermost node, f(x) dx/dt, is not below rel_tol times the
+    integral of |row|), when a value of it is not finite, or when its levels
+    never agree; every row still open is left so when f raises RangeError
+    (it overflows).  The pass ends once no row is open.
+    """
+    values: list[float | None] = [None] * m
+    open_ = range(m)
+    total = mass = None
+    with np.errstate(all="ignore"):      # a value that is not finite closes its row
+        for level in range(DE_START_LEVEL, DE_MAX_LEVEL + 1):
+            x, w = de_rule(interval, level)
+            if total is not None:
+                x, w = x[1::2], w[1::2]      # the nodes this level adds
+            try:
+                terms = np.reshape(w * f(x), (m, w.size))
+            except RangeError:
+                break
+            sums, scales = terms.sum(axis=1).tolist(), np.abs(terms).sum(axis=1).tolist()
+            if total is None:
+                coarse = (2.0 * terms[:, ::2].sum(axis=1)).tolist()
+                total, mass = sums, scales
+                # terms / h at t = -4 and t = 4 bound the mass past them
+                ends = zip(terms[:, 0].tolist(), terms[:, -1].tolist())
+                open_ = [i for i, (a, b) in zip(open_, ends)
+                         if max(abs(a), abs(b)) * 2.0 ** level <= spec.rel_tol * mass[i]]
+            else:
+                coarse = total
+                total = [0.5 * t + s for t, s in zip(total, sums)]
+                mass = [0.5 * a + s for a, s in zip(mass, scales)]
+            still = []
+            for i in open_:
+                if not math.isfinite(mass[i]):
+                    continue
+                if abs(total[i] - coarse[i]) <= max(spec.abs_tol, spec.rel_tol * mass[i]):
+                    values[i] = total[i]
+                else:
+                    still.append(i)
+            open_ = still
+            if not open_:
+                break
+    return values
+
+
 def integrate_de(f: Callable, interval: SupportInterval, spec: QuadratureSpec) -> float:
     """Integral of f over `interval` on the nested double-exponential rule,
     or by `integrate` where that rule cannot certify it.
 
-    f maps a numpy array of nodes to an array of values.  Levels run from
-    DE_START_LEVEL up; the first evaluates all nodes, each later one only
-    the nodes it adds, and the estimate is accepted once it and the level
-    below it differ by at most max(abs_tol, rel_tol * integral of |f|).
-    A DE rule suits the phi^{1/(1-q)} edges and power-law tails of the
-    Tsallis side.  It cannot certify a tail too heavy for t in [-4, 4]
-    (the integrand in t at an outermost node, f(x) dx/dt, is not below
-    rel_tol times the integral of |f|), levels that never agree, or a
-    value that is not finite or overflows (RangeError); then the same f
-    goes to QUADPACK's `integrate`, which calls it with one float at a time.
+    f maps a numpy array of nodes to an array of values: this is the
+    m = 1 case of `integrate_de_rows`, whose tests decide when the rule
+    certifies the integral.  Where it does not, the same f goes to
+    QUADPACK's `integrate`, which calls it with one float at a time.
     """
-    total = mass = None
-    for level in range(DE_START_LEVEL, DE_MAX_LEVEL + 1):
-        x, w = de_rule(interval, level)
-        if total is not None:
-            x, w = x[1::2], w[1::2]      # the nodes this level adds
-        try:
-            with np.errstate(all="ignore"):
-                terms = w * f(x)
-        except RangeError:
-            break
-        if total is None:
-            coarse = 2.0 * float(terms[::2].sum())
-            total, mass = float(terms.sum()), float(np.abs(terms).sum())
-            # terms / h at t = -4 and t = 4 bound the mass past them
-            if not (max(abs(terms[0]), abs(terms[-1])) * 2.0 ** level <= spec.rel_tol * mass):
-                break
-        else:
-            coarse = total
-            total = 0.5 * total + float(terms.sum())
-            mass = 0.5 * mass + float(np.abs(terms).sum())
-        if not math.isfinite(mass):     # some value is not finite
-            break
-        if abs(total - coarse) <= max(spec.abs_tol, spec.rel_tol * mass):
-            return total
-    return integrate(f, interval, spec)
+    value, = integrate_de_rows(f, 1, interval, spec)
+    return integrate(f, interval, spec) if value is None else value

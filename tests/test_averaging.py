@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qbridge as qb
+import qbridge.averaging as A
+import qbridge.quadrature as Q
 from qbridge import Observable, SupportInterval
 
 from conftest import HALF_LINE, identity_cs
@@ -140,3 +144,132 @@ def test_curado_tsallis_mean_diverges_with_the_escort_power(quad):
     with pytest.raises(qb.NonIntegrableError) as err:
         qb.mean_ct(p, X, 0.9, quad)
     assert err.value.tail_exponent == pytest.approx(0.8, rel=1e-15)
+
+
+# ----------------------------------------------- one pass for every average
+
+def _count_de_passes(monkeypatch):
+    calls = []
+    real = Q.integrate_de_rows
+    monkeypatch.setattr(Q, "integrate_de_rows",
+                        lambda f, m, *a: calls.append(m) or real(f, m, *a))
+    return calls
+
+
+def test_normalization_and_four_averages_make_two_passes(monkeypatch, quad):
+    calls = _count_de_passes(monkeypatch)
+    a = Observable(lambda x: x, "x", 1)     # a fresh key for the cache
+    p = qb.normalize_tsallis(0.7, identity_cs(1.3), quad, domain=HALF_LINE)
+    qb.mean_linear(p, a, quad)
+    qb.mean_ct(p, a, 0.7, quad)
+    qb.mean_tmp(p, a, 0.7, quad)
+    qb.escort_norm(p, 0.7, quad)
+    assert calls == [1, 3]      # the normalization, then [p A, p^q A, p^q]
+
+
+def test_a_heavy_mean_goes_to_quadpack_alone_each_time(monkeypatch, quad):
+    # at q = 1.49 the rule cannot certify int x p; p^q A and p^q it can
+    p = qb.normalize_tsallis(1.49, identity_cs(), quad, domain=HALF_LINE)
+    a = Observable(lambda x: x, "x", 1)
+    passes, calls = _count_de_passes(monkeypatch), []
+    real = Q.integrate
+    monkeypatch.setattr(Q, "integrate", lambda f, *rest: calls.append(f) or real(f, *rest))
+    for _ in range(2):
+        assert qb.mean_linear(p, a, quad) == pytest.approx(49.99999999988843, rel=1e-9)
+    qb.mean_ct(p, a, 1.49, quad)
+    qb.escort_norm(p, 1.49, quad)
+    assert passes == [3] and len(calls) == 2
+
+
+def _outcome(compute):
+    try:
+        return "value", compute()
+    except qb.QBridgeError as exc:
+        return type(exc).__name__, getattr(exc, "tail_exponent", None)
+
+
+def _single_integrals(p, a, q, quad):
+    """The averages as one integrate_de call each, as before the shared pass."""
+    def screened(power, degree, f):
+        A._screen_tails(p, power, degree, "an average")
+        return Q.integrate_de(f, p.support, quad)
+
+    def x_q():
+        try:
+            value = screened(q, 0, lambda x: p.density(x) ** q)
+        except qb.QuadratureError as exc:
+            raise qb.NonIntegrableError(str(exc)) from exc
+        return qb.averaging.EscortWeight(qb.QIndex(q), value).x_q
+
+    linear = _outcome(lambda: screened(1.0, a.degree, lambda x: p.density(x) * a.value(x)))
+    ct = _outcome(lambda: screened(q, a.degree, lambda x: p.density(x) ** q * a.value(x)))
+    escort = _outcome(x_q)
+    tmp = ct if ct[0] != "value" else escort if escort[0] != "value" else \
+        ("value", ct[1] / escort[1])
+    return linear, ct, tmp, escort
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_density=st.floats(0.3, 1.9).filter(lambda v: abs(v - 1.0) > 1e-3),
+       q=st.floats(0.3, 1.9),
+       lam=st.floats(0.3, 3.0),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       degree=st.integers(0, 2),
+       shape=st.sampled_from(["x half-line", "x^2 line"]))
+@example(q_density=1.75, q=1.75, lam=2.7, coeffs=[0.0, 1.0, 0.0], degree=1,
+         shape="x half-line")       # the CT mean is finite, the linear one diverges
+@example(q_density=1.3, q=0.5, lam=1.0, coeffs=[0.0, 1.0, 0.0], degree=1,
+         shape="x half-line")       # the linear mean is finite, the CT one diverges
+@example(q_density=1.49, q=1.49, lam=1.0, coeffs=[0.0, 1.0, 0.0], degree=1,
+         shape="x half-line")       # the linear row falls back to QUADPACK
+@example(q_density=0.5, q=1.2, lam=1.0, coeffs=[0.5, 0.0, 0.0], degree=0,
+         shape="x^2 line")          # a constant observable on the q < 1 cutoff
+def test_each_average_matches_its_single_integral(q_density, q, lam, coeffs, degree, shape):
+    h, domain = ((qb.ConstraintFn.identity(), HALF_LINE) if shape == "x half-line"
+                 else (qb.ConstraintFn.square(), qb.SupportInterval(-math.inf, math.inf)))
+    coeffs = coeffs[:degree + 1]
+    if coeffs[-1] == 0.0:
+        coeffs[-1] = 1.0
+    c = tuple(coeffs)
+    if degree == 0:
+        a = Observable(lambda x: c[0], "const", 0)
+    else:
+        a = Observable(lambda x: sum(ck * x ** k for k, ck in enumerate(c)), "poly", degree)
+    quad = qb.QuadratureSpec()
+    try:
+        p = qb.normalize_tsallis(q_density, qb.ConstraintSet((h,), (lam,)), quad, domain=domain)
+    except qb.QBridgeError:
+        return      # not normalizable: no average to take
+    expected = _single_integrals(p, a, q, quad)
+    got = (_outcome(lambda: qb.mean_linear(p, a, quad)),     # read at p's own q
+           _outcome(lambda: qb.mean_ct(p, a, q, quad)),
+           _outcome(lambda: qb.mean_tmp(p, a, q, quad)),
+           _outcome(lambda: qb.escort_norm(p, q, quad).x_q))
+    assert got == expected      # bit for bit, and the same typed errors
+
+
+def test_linear_mean_reads_the_pass_at_the_density_q(quad):
+    p = qb.normalize_tsallis(1.3, identity_cs(), quad, domain=HALF_LINE)
+    a = Observable(lambda x: x, "x", 1)
+    expected = Q.integrate_de(lambda x: p.density(x) * x, p.support, quad)
+    assert qb.mean_linear(p, a, quad) == expected
+    # a density without q makes a one-row pass
+    triangle = SupportedDensity(lambda x: 2.0 * (1.0 - x), SupportInterval(0.0, 1.0))
+    assert qb.mean_linear(triangle, a, quad) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+# ------------------------------------------------------- escort duality
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(0.3, 1.6).filter(lambda v: abs(v - 1.0) > 1e-3),
+       lam=st.floats(0.3, 3.0))
+@example(q=0.5, lam=1.0)
+@example(q=1.5, lam=2.0)
+def test_escort_normalizer_is_the_dual_normalization(q, lam):
+    # p^q = C^q e_q(-lam x)^q = C^q e_q'(-q lam x) with q' = 2 - 1/q, on the
+    # same support, so X_q = C^q / C' with C' the (q', q lam) normalization
+    quad = qb.QuadratureSpec()
+    p = qb.normalize_tsallis(q, identity_cs(lam), quad, domain=HALF_LINE)
+    dual = qb.normalize_tsallis(2.0 - 1.0 / q, identity_cs(q * lam), quad,
+                                domain=HALF_LINE, support=p.support)
+    assert qb.escort_norm(p, q, quad).x_q == pytest.approx(p.C ** q / dual.C, rel=1e-12)

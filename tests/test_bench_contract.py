@@ -71,3 +71,21 @@ def test_a_fit_op_calls_numpy_roots_only_for_the_quartic(monkeypatch):
             calls.clear()
             worker.solve(solve)
             assert len(calls) <= (1 if solve["name"] == "3c" else 0), solve["name"]
+
+
+def test_quartic_fits_of_a_run_average_at_most_five_moment_passes(monkeypatch):
+    # x, x^2, x^4 start at the fourth-moment fit: a mean of 8.0 passes per
+    # solve from the Gaussian start over these 100 operations
+    import qbridge.maxent as maxent
+    build, passes = maxent._moment_functions, []
+
+    def counting(*args, **kwargs):
+        moments = build(*args, **kwargs)
+        return lambda *a, **kw: passes.append(1) or moments(*a, **kw)
+
+    monkeypatch.setattr(maxent, "_moment_functions", counting)
+    for index in range(100):
+        solve = workloads.fit_op(7, "w0", index)["solves"][2]
+        assert solve["name"] == "3c"
+        assert "error" not in worker.solve(solve)
+    assert len(passes) <= 5 * 100

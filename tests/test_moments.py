@@ -261,9 +261,34 @@ def _planted(observables, p, domain):
                  for o in observables)
 
 
-# planted (p1, p2, p4): a tilted double well, a flat quartic, a steep one, a shifted one
+DOUBLE_WELLS = [(-0.5, -0.5, 0.05), (0.5, -0.5, 0.05)]   # the deepest wells of the range
+
+
+# planted (p1, p2, p4): a tilted double well, a flat quartic, a steep one, a
+# shifted one, and the two deepest double wells of the planted range
 @pytest.mark.parametrize("planted", [(0.2, -0.3, 0.25), (0.0, 0.0, 0.05),
-                                     (0.5, 0.5, 0.5), (-0.5, 0.5, 0.05)])
+                                     (0.5, 0.5, 0.5), (-0.5, 0.5, 0.05), *DOUBLE_WELLS])
+def test_quartic_set_starts_at_the_fourth_moment_fit(monkeypatch, planted):
+    targets = _planted((X, X2, X4), planted, REAL_LINE)
+    passes = _count_passes(monkeypatch)
+    s = _solve((X, X2, X4), targets, REAL_LINE)
+    k1, k2, k4 = targets
+    a, b, c = passes[0]
+    assert a == pytest.approx(-k1 / k2, rel=1e-15)
+    # the symmetric start exp(-(b x^2 + c x^4)) has E[x^2] = K2 and the
+    # kurtosis K4/K2^2, up to the table's linear interpolation (~0.3%)
+    z, m2, m4 = (_scipy(lambda u, k=k: u ** k * math.exp(-(b * u * u + c * u ** 4)),
+                        REAL_LINE) for k in (0, 2, 4))
+    assert m2 / z == pytest.approx(k2, rel=1e-2)
+    assert m4 * z / (m2 * m2) == pytest.approx(k4 / (k2 * k2), rel=1e-2)
+    assert len(passes) <= 6
+    assert s.cs.multipliers == pytest.approx(planted, rel=1e-10, abs=1e-10)
+
+
+# Nearly Gaussian targets, K4/K2^2 above the table's largest kurtosis: they
+# keep the Gaussian fit of (K1, K2) with the small x^4 multiplier 1e-3/v^2.
+@pytest.mark.parametrize("planted", [(0.0, 1.0, 0.001), (0.3, 2.0, 0.01),
+                                     (-0.2, 0.5, 0.001), (0.2, 1.0, 0.002)])
 def test_quartic_set_starts_at_the_gaussian_fit(monkeypatch, planted):
     targets = _planted((X, X2, X4), planted, REAL_LINE)
     passes = _count_passes(monkeypatch)
@@ -273,6 +298,47 @@ def test_quartic_set_starts_at_the_gaussian_fit(monkeypatch, planted):
     assert list(passes[0]) == pytest.approx([-k1 / v, 0.5 / v, 1e-3 / (v * v)], rel=1e-15)
     assert len(passes) <= 9
     assert s.cs.multipliers == pytest.approx(planted, rel=1e-10, abs=1e-10)
+
+
+def test_the_kurtosis_table_is_built_on_first_use():
+    import subprocess
+    import sys
+    code = ("import qbridge.maxent as M; a = M._kurtosis_table.cache_info().currsize; "
+            "M._kurtosis_table(); print(a, M._kurtosis_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["0", "1"]
+    kurtosis, m2 = qb.maxent._kurtosis_table()
+    assert not kurtosis.flags.writeable and not m2.flags.writeable
+    assert np.all(np.diff(kurtosis) > 0.0)      # the ratio picks one shape
+    # exp(-y^4): E[y^2] = Gamma(3/4)/Gamma(1/4) and E[y^4] = 1/4, at r = 0
+    zero = int(np.flatnonzero(qb.maxent._SHAPES == 0.0)[0])
+    m2_0 = math.gamma(0.75) / math.gamma(0.25)
+    assert m2[zero] == pytest.approx(m2_0, rel=1e-14)
+    assert kurtosis[zero] == pytest.approx(0.25 / m2_0 ** 2, rel=1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p1=st.floats(-0.5, 0.5), p2=st.floats(-0.5, 0.5), p4=st.floats(0.05, 0.5))
+@example(p1=-0.5, p2=-0.5, p4=0.05)
+@example(p1=0.5, p2=-0.5, p4=0.05)
+def test_the_fourth_moment_start_reaches_the_gaussian_start_solution(p1, p2, p4):
+    # the start changes how many passes a solve takes, not where it ends
+    from unittest import mock
+    targets = _planted((X, X2, X4), (p1, p2, p4), REAL_LINE)
+    new = _solve((X, X2, X4), targets, REAL_LINE)
+    with mock.patch("qbridge.maxent._quartic_start", lambda *args: None):
+        old = _solve((X, X2, X4), targets, REAL_LINE)
+    assert new.cs.multipliers == pytest.approx(old.cs.multipliers, rel=1e-10)
+    assert new.mu == pytest.approx(old.mu, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("planted", DOUBLE_WELLS)
+def test_double_wells_take_at_most_nine_passes(monkeypatch, planted):
+    targets = _planted((X, X2, X4), planted, REAL_LINE)
+    passes = _count_passes(monkeypatch)
+    _solve((X, X2, X4), targets, REAL_LINE)
+    assert len(passes) <= 9     # 11 each from the Gaussian start
 
 
 @settings(max_examples=25, deadline=None)
