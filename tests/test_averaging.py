@@ -37,6 +37,9 @@ def test_linear_mean_of_one_is_one(cutoff_density, exp_density, quad):
 def test_linear_mean_values(cutoff_density, exp_density, quad):
     assert qb.mean_linear(cutoff_density, X, quad) == pytest.approx(0.5, rel=1e-10)
     assert qb.mean_linear(exp_density, X, quad) == pytest.approx(1.0, rel=1e-10)
+    # a density without q: a pass of the one row p A
+    triangle = SupportedDensity(lambda x: 2.0 * (1.0 - x), SupportInterval(0.0, 1.0))
+    assert qb.mean_linear(triangle, X, quad) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_escort_norm_is_one_at_classical(exp_density, quad):
@@ -189,7 +192,8 @@ def _outcome(compute):
 
 
 def _single_integrals(p, a, q, quad):
-    """The averages as one integrate_de call each, as before the shared pass."""
+    """The averages as one integrate_de call each: the reference that the
+    shared pass reproduces bit for bit."""
     def screened(power, degree, f):
         A._screen_tails(p, power, degree, "an average")
         return Q.integrate_de(f, p.support, quad)
@@ -246,16 +250,6 @@ def test_each_average_matches_its_single_integral(q_density, q, lam, coeffs, deg
            _outcome(lambda: qb.mean_tmp(p, a, q, quad)),
            _outcome(lambda: qb.escort_norm(p, q, quad).x_q))
     assert got == expected      # bit for bit, and the same typed errors
-
-
-def test_linear_mean_reads_the_pass_at_the_density_q(quad):
-    p = qb.normalize_tsallis(1.3, identity_cs(), quad, domain=HALF_LINE)
-    a = Observable(lambda x: x, "x", 1)
-    expected = Q.integrate_de(lambda x: p.density(x) * x, p.support, quad)
-    assert qb.mean_linear(p, a, quad) == expected
-    # a density without q makes a one-row pass
-    triangle = SupportedDensity(lambda x: 2.0 * (1.0 - x), SupportInterval(0.0, 1.0))
-    assert qb.mean_linear(triangle, a, quad) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 # ------------------------------------------------------- escort duality

@@ -157,6 +157,21 @@ def test_an_overflowing_integrand_goes_to_quadpack(monkeypatch):
     assert Q.integrate_de(f, HALF_LINE, QUAD) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_each_row_is_accepted_at_its_own_level():
+    # rows that converge at different levels, one the rule cannot certify
+    # (heavy tail) and one that is not finite on the nodes: each row is the
+    # one-row pass of its own integrand, bit for bit, or None
+    rows = [lambda x: np.exp(-x), lambda x: np.sqrt(x) / (1.0 + x) ** 3,
+            lambda x: 1.0 / (1.0 + x) ** 1.04, lambda x: np.where(x > 3.0, np.inf, 1.0),
+            lambda x: x ** 0.25 * np.exp(-x * x)]
+    got = Q.integrate_de_rows(lambda x: np.array([f(x) for f in rows]), len(rows),
+                              HALF_LINE, QUAD)
+    assert got == [Q.integrate_de_rows(f, 1, HALF_LINE, QUAD)[0] for f in rows]
+    assert got[2] is None and got[3] is None
+    assert got[0] == pytest.approx(1.0, rel=1e-14)
+    assert got[1] == pytest.approx(math.pi / 8.0, rel=1e-12)     # B(3/2, 3/2)
+
+
 def test_the_rule_integrates_an_edge_singularity_and_a_power_tail():
     edge = SupportInterval(0.0, 2.0)
     assert Q.integrate_de(lambda x: np.sqrt(2.0 - x), edge, QUAD) == \
