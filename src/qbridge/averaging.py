@@ -111,9 +111,8 @@ def _screen_tails(p, power: float, degree: int | None, what: str) -> None:
     """Raise NonIntegrableError when int p^power A diverges (`_divergence`)."""
     exponent = _divergence(p, power, degree)
     if exponent is not None:
-        qi = p.q
         raise NonIntegrableError(
-            f"{what} diverges at q = {qi.q!r}: the integrand decays like |x|^-{exponent!r} "
+            f"{what} diverges at q = {p.q.q!r}: the integrand decays like |x|^-{exponent!r} "
             f"toward an infinite end of the support, and {exponent!r} <= 1",
             tail_exponent=exponent)
 
