@@ -181,8 +181,6 @@ def escort_norm(p, q: QIndex | float, quad: QuadratureSpec) -> EscortWeight:
     except QuadratureError as exc:
         raise NonIntegrableError(
             f"escort integral did not converge for q = {qi.q!r}: {exc}") from exc
-    if not (math.isfinite(x_q) and x_q > 0.0):
-        raise NonIntegrableError(f"escort integral evaluated to {x_q!r}")
     return EscortWeight(q=qi, x_q=x_q)
 
 

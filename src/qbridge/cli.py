@@ -15,8 +15,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
     SolverError,
 )
 from .maxent import (
+    TRANSPORT_COLUMNS,
     normalize_tsallis,
     sample_and_test,
     shannon_partner,
@@ -49,8 +51,8 @@ from .transform import (
 )
 
 SCHEMA_VERSION = "1"
-CSV_HEADER = "x,g,J,u,p_tsallis,p_shannon_pushforward,transport_residual"
 ENV_RTOL = "QBRIDGE_QUAD_RTOL"
+TRANSPORT_TOL = 1e-6        # pointwise transport residual that verify accepts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,14 +150,7 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if not self.lambdas:
-            raise ConfigurationError("at least one --lambda is required")
-        if not self.kinds:
-            raise ConfigurationError("at least one --h is required")
-        if len(self.lambdas) != len(self.kinds):
-            raise ConfigurationError("--lambda and --h counts must match")
-        if self.targets is not None and len(self.targets) != len(self.kinds):
-            raise ConfigurationError("--K and --h counts must match")
+        # ConstraintSet checks the counts of --lambda, --h and --K
         if self.grid is not None:
             lo, hi, count = self.grid
             if not (count >= 2 and lo < hi):
@@ -182,51 +177,70 @@ class RunConfig:
         return SupportInterval(lo, hi)
 
 
-def _float(text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigurationError(f"bad {what}: {text!r}") from None
-    return value
-
-
 def parse_kind(text: str) -> ConstraintFn:
     if text == "identity":
         return ConstraintFn.identity()
     if text == "square":
         return ConstraintFn.square()
     if text.startswith("poly:"):
-        coeffs = [_float(v, "polynomial coefficient")
-                  for v in text[len("poly:"):].split(",")]
+        try:
+            coeffs = [float(v) for v in text[len("poly:"):].split(",")]
+        except ValueError:
+            raise ConfigurationError(f"bad polynomial coefficients in {text!r}") from None
         return ConstraintFn.polynomial(coeffs)
     raise ConfigurationError(
         f"unknown constraint kind {text!r} (want identity, square, or poly:c0,c1,...)")
 
 
+# Converters of an option's text; a ValueError is a bad value (`_convert`).
 def parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"grid must be min:max:count, got {text!r}")
-    lo, hi = _float(parts[0], "grid min"), _float(parts[1], "grid max")
-    try:
-        count = int(parts[2])
-    except ValueError:
-        raise ConfigurationError(f"bad grid count: {parts[2]!r}") from None
-    return lo, hi, count
+    lo, hi, count = text.split(":")
+    return float(lo), float(hi), int(count)
 
 
-def parse_domain(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigurationError(f"domain must be lo:hi, got {text!r}")
-    return _float(parts[0], "domain bound"), _float(parts[1], "domain bound")
+def parse_pair(sep: str) -> Callable[[str], tuple[float, float]]:
+    def parse(text: str) -> tuple[float, float]:
+        a, b = text.split(sep)
+        return float(a), float(b)
+    return parse
 
 
-def parse_anchor(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigurationError(f"anchor must be x0,u0, got {text!r}")
-    return _float(parts[0], "anchor"), _float(parts[1], "anchor")
+@dataclass(frozen=True)
+class Option:
+    """An option of every subcommand: its flag, the RunConfig field (and
+    config file key) it sets, and the converter of its text.  A repeated
+    option collects a list; `joiner` makes a file's list the flag's text."""
+
+    flag: str
+    dest: str
+    convert: Callable[[str], object]
+    help: str
+    repeated: bool = False
+    joiner: str = ""
+
+
+OPTIONS = (
+    Option("--q", "q", float, "entropic index"),
+    Option("--lambda", "lambdas", float, "multiplier (repeat per constraint)",
+           repeated=True),
+    Option("--h", "kinds", str, "constraint kind: identity, square, poly:c0,c1,... "
+                                "(repeat per constraint)", repeated=True),
+    Option("--K", "targets", float, "moment target (repeat per constraint)",
+           repeated=True),
+    Option("--grid", "grid", parse_grid, "evaluation grid min:max:count", joiner=":"),
+    Option("--c", "c", float, "integration constant"),
+    Option("--anchor", "anchor", parse_pair(","), "map anchor x0,u0", joiner=","),
+    Option("--domain", "domain", parse_pair(":"),
+           "base domain lo:hi (inf allowed; default anchor_x:inf)", joiner=":"),
+    Option("--rel-tol", "rel_tol", float, f"quadrature relative tolerance (or {ENV_RTOL})"),
+    Option("--abs-tol", "abs_tol", float, "quadrature absolute tolerance"),
+    Option("--seed", "seed", int, "sampling seed"),
+    Option("--n-samples", "n_samples", int, "sample count"),
+    Option("--A", "observable", str, "observable for averages (identity, square, poly:...)"),
+    Option("--out", "out", str, "output path (default stdout)"),
+    Option("--format", "format", str, "table format: csv or json"),
+)
+DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,103 +256,77 @@ def build_parser() -> argparse.ArgumentParser:
             ("sample", "seeded sampling confirmation with a KS statistic"),
             ("averages", "linear, CT, and TMP means plus the escort weight")):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--q", type=float, help="entropic index")
-        p.add_argument("--lambda", dest="lambdas", action="append", type=float,
-                       help="multiplier (repeat per constraint)")
-        p.add_argument("--h", dest="kinds", action="append",
-                       help="constraint kind: identity, square, poly:c0,c1,...")
-        p.add_argument("--K", dest="targets", action="append", type=float,
-                       help="moment target (repeat per constraint)")
-        p.add_argument("--grid", help="evaluation grid min:max:count")
-        p.add_argument("--c", type=float, help="integration constant (default 0)")
-        p.add_argument("--anchor", help="map anchor x0,u0 (default 0,0)")
-        p.add_argument("--domain", help="base domain lo:hi (inf allowed; "
-                                        "default anchor_x:inf)")
-        p.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
-        p.add_argument("--abs-tol", type=float, help="quadrature absolute tolerance")
-        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-        p.add_argument("--n-samples", type=int, help="sample count (default 10000)")
-        p.add_argument("--A", dest="observable",
-                       help="observable for averages (identity, square, poly:...)")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="table format")
+        p.add_argument("--config", help="JSON file of option values, keyed by "
+                                        + ", ".join(opt.dest for opt in OPTIONS))
+        for opt in OPTIONS:
+            default = DEFAULTS[opt.dest]
+            if isinstance(default, tuple):
+                default = opt.joiner.join(map(str, default))
+            p.add_argument(opt.flag, dest=opt.dest, action="append" if opt.repeated else "store",
+                           help=opt.help if default in (None, MISSING)
+                           else f"{opt.help} (default {default})")
     return parser
 
 
+def _convert(opt: Option, where: str, text):
+    """The value of `opt` from its flag's text (a list of texts if repeated)."""
+    try:
+        return [opt.convert(t) for t in text] if opt.repeated else opt.convert(text)
+    except ValueError:
+        raise ConfigurationError(f"bad value for {where}: {text!r}, want {opt.help}") from None
+
+
+def _file_texts(path: str) -> dict:
+    """The options a --config file sets: dest -> (where, its flag's text)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigurationError("config file must hold a JSON object")
+    texts = {}
+    for key, value in values.items():
+        opt = next((opt for opt in OPTIONS if opt.dest == key), None)
+        if opt is None:
+            raise ConfigurationError(f"unknown config key {key!r}")
+        if value is None:
+            continue
+        if isinstance(value, list) and opt.joiner:
+            value = opt.joiner.join(map(str, value))
+        if opt.repeated != isinstance(value, list):
+            raise ConfigurationError(f"config key {key!r} takes "
+                                     f"{'a list' if opt.repeated else 'one value'}")
+        texts[key] = (f"config key {key!r}", [str(v) for v in value] if opt.repeated
+                      else str(value))
+    return texts
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
+    """The run's configuration: each option's flag wins over its key in the
+    --config file, the file over QBRIDGE_QUAD_RTOL, and that over
+    RunConfig's default.  Whatever its source, the winning value is its
+    flag's text and goes through that option's converter."""
+    texts = {}      # dest -> (where the text came from, text)
+    if ENV_RTOL in os.environ:
+        texts["rel_tol"] = (ENV_RTOL, os.environ[ENV_RTOL])
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigurationError("config file must hold a JSON object")
-
-    def pick(name: str, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    env_rtol = os.environ.get(ENV_RTOL)
-    default_rtol = 1e-10
-    if env_rtol is not None:
-        default_rtol = _float(env_rtol, f"{ENV_RTOL} value")
-
-    q = pick("q", None)
-    if q is None:
-        raise ConfigurationError("--q is required")
-    lambdas = pick("lambdas", None)
-    kinds = pick("kinds", None)
-    if lambdas is None or kinds is None:
-        raise ConfigurationError("--lambda and --h are required")
-    targets = pick("targets", None)
-    grid = pick("grid", None)
-    if isinstance(grid, str):
-        grid = parse_grid(grid)
-    elif isinstance(grid, (list, tuple)):
-        grid = (float(grid[0]), float(grid[1]), int(grid[2]))
-    anchor = pick("anchor", (0.0, 0.0))
-    if isinstance(anchor, str):
-        anchor = parse_anchor(anchor)
-    else:
-        anchor = (float(anchor[0]), float(anchor[1]))
-    domain = pick("domain", None)
-    if isinstance(domain, str):
-        domain = parse_domain(domain)
-    elif isinstance(domain, (list, tuple)):
-        domain = (float(domain[0]), float(domain[1]))
-
-    return RunConfig(
-        command=args.command,
-        q=float(q),
-        lambdas=[float(v) for v in lambdas],
-        kinds=[str(k) for k in kinds],
-        targets=None if targets is None else [float(t) for t in targets],
-        grid=grid,
-        c=float(pick("c", 0.0)),
-        anchor=anchor,
-        rel_tol=float(pick("rel_tol", default_rtol)),
-        abs_tol=float(pick("abs_tol", 1e-12)),
-        seed=int(pick("seed", 0)),
-        n_samples=int(pick("n_samples", 10000)),
-        domain=domain,
-        observable=str(pick("observable", "identity")),
-        out=pick("out", None),
-        format=str(pick("format", "csv")),
-    )
+        texts.update(_file_texts(args.config))
+    texts.update((opt.dest, (opt.flag, getattr(args, opt.dest)))
+                 for opt in OPTIONS if getattr(args, opt.dest) is not None)
+    missing = [opt.flag for opt in OPTIONS
+               if DEFAULTS[opt.dest] is MISSING and opt.dest not in texts]
+    if missing:
+        raise ConfigurationError(f"missing {', '.join(missing)}")
+    return RunConfig(command=args.command, **{
+        opt.dest: _convert(opt, *texts[opt.dest]) for opt in OPTIONS if opt.dest in texts})
 
 
 # ----------------------------------------------------------------------
 # shared construction
 
 def _build_problem(cfg: RunConfig):
-    """TransformSpec, map, Tsallis solution, and matched Shannon solution."""
+    """TransformSpec, map and Tsallis solution."""
     quad = cfg.quad()
     cs = cfg.constraint_set()
     spec = TransformSpec(QIndex(cfg.q), cs, c=cfg.c, anchor_x=cfg.anchor[0],
@@ -347,7 +335,7 @@ def _build_problem(cfg: RunConfig):
     tsallis = normalize_tsallis(spec.q, cs, quad,
                                 domain=cfg.domain_interval(),
                                 anchor=cfg.anchor[0], support=map_.support)
-    return spec, map_, tsallis, shannon_partner(tsallis, map_, quad)
+    return spec, map_, tsallis
 
 
 def _interior_grid(cfg: RunConfig, tsallis, spec) -> list[float]:
@@ -375,19 +363,14 @@ def _interior_grid(cfg: RunConfig, tsallis, spec) -> list[float]:
 # commands
 
 def cmd_transform(cfg: RunConfig) -> int:
-    spec, map_, tsallis, shannon = _build_problem(cfg)
+    spec, map_, tsallis = _build_problem(cfg)
+    shannon = shannon_partner(tsallis, map_, spec.quad)
     if cfg.grid is None:
         raise ConfigurationError("transform requires --grid min:max:count")
-    rows = []
-    for x in sorted(_interior_grid(cfg, tsallis, spec)):
-        g = map_.g(x)
-        jac = map_.J(x)
-        u = map_.u(x)
-        p_t = tsallis.density(x)
-        p_push = math.exp(-shannon.mu - spec.cs.potential(u)) * abs(jac)
-        rows.append((x, g, jac, u, p_t, p_push, abs(p_t - p_push)))
+    grid = sorted(_interior_grid(cfg, tsallis, spec))
+    rows = verify_transport(shannon, tsallis, map_, grid, TRANSPORT_TOL).rows
     if cfg.format == "csv":
-        lines = [CSV_HEADER]
+        lines = [",".join(TRANSPORT_COLUMNS)]
         lines += [",".join(fmt(v) for v in row) for row in rows]
         write_artifact(cfg.out, "\n".join(lines) + "\n")
     else:
@@ -395,8 +378,8 @@ def cmd_transform(cfg: RunConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "transform",
             "q": cfg.q,
-            "columns": CSV_HEADER.split(","),
-            "rows": [list(row) for row in rows],
+            "columns": list(TRANSPORT_COLUMNS),
+            "rows": rows,
         }
         write_artifact(cfg.out, emit_json(doc) + "\n")
     return EXIT_OK
@@ -422,7 +405,8 @@ def cmd_solve_shannon(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    spec, map_, tsallis, shannon = _build_problem(cfg)
+    spec, map_, tsallis = _build_problem(cfg)
+    shannon = shannon_partner(tsallis, map_, spec.quad)
     grid = _interior_grid(cfg, tsallis, spec)
     qi = spec.q
     checks = []
@@ -462,8 +446,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     record("round_trip",
            max(abs(canonical_map.x(canonical_map.u(x)) - x) for x in grid),
            1e-9, max(abs(x) for x in grid))
-    report = verify_transport(shannon, tsallis, map_, grid, tol=1e-6)
-    record("transport_identity", report.max_abs_residual, 1e-6)
+    report = verify_transport(shannon, tsallis, map_, grid, TRANSPORT_TOL)
+    record("transport_identity", report.max_abs_residual, TRANSPORT_TOL)
     if report.factor_max_residual is not None:
         record("pushforward_factor_2_minus_q", report.factor_max_residual, 1e-10)
 
@@ -485,7 +469,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    spec, map_, tsallis, _ = _build_problem(cfg)
+    _, map_, tsallis = _build_problem(cfg)
     samples, ks = sample_and_test(tsallis, map_, cfg.n_samples, cfg.seed)
     doc = {
         "schema_version": SCHEMA_VERSION,

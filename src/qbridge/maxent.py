@@ -115,15 +115,24 @@ class TsallisSolution:
         return value if np.ndim(x) else float(value)
 
 
+TRANSPORT_COLUMNS = ("x", "g", "J", "u", "p_tsallis", "p_shannon_pushforward",
+                     "transport_residual")
+
+
 @dataclass(frozen=True)
 class TransportReport:
-    """Pointwise comparison of the two densities through the map."""
+    """Pointwise comparison of the two densities through the map: one row
+    of TRANSPORT_COLUMNS per grid point."""
 
-    grid: tuple[float, ...]
+    rows: tuple[tuple[float, ...], ...]
     max_abs_residual: float
-    profile: tuple[tuple[float, float], ...]
     passed: bool
     factor_max_residual: float | None = None
+
+    @property
+    def profile(self) -> tuple[tuple[float, float], ...]:
+        """(x, residual) per grid point."""
+        return tuple((row[0], row[-1]) for row in self.rows)
 
 
 # A certificate must beat the infimum by this much, relative to the terms of
@@ -629,7 +638,9 @@ def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
     """The Shannon solution matched to `tsallis` through `map_`.
 
     Same multipliers: exp(-lam.h(u)) normalized on the image of the
-    Tsallis support under u(x), open at both ends.  Raises
+    Tsallis support under u(x).  A closed end of the Tsallis support, where
+    its density is positive, closes the end of the image it maps to: the
+    lower one where g > 0, the upper one where g < 0.  Raises
     EdgeSingularityError when g vanishes inside the Tsallis support: u(x)
     then carries only the part of it on the anchor's side of the zero,
     whose Tsallis mass is below 1, so no normalized density matches.
@@ -642,7 +653,8 @@ def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
             f"inverse Jacobian vanishes at x = {zero!r}, inside the Tsallis support "
             f"{support!r}: u(x) carries only the part of it before x = {zero!r}, so "
             f"no normalized Shannon density matches", edge=zero)
-    domain = SupportInterval(u_lo, u_hi, closed_lower=False, closed_upper=False)
+    closed = (support.closed_lower, support.closed_upper)[::map_.orientation]
+    domain = SupportInterval(u_lo, u_hi, closed_lower=closed[0], closed_upper=closed[1])
     shape = ShannonSolution(mu=0.0, cs=tsallis.cs, domain=domain)
     return replace(shape, mu=math.log(integrate_de(shape.density, domain, quad)))
 
@@ -655,37 +667,35 @@ def verify_transport(s: ShannonSolution, t: TsallisSolution, map_: TransformMap,
                      grid: Sequence[float], tol: float) -> TransportReport:
     """Pointwise residual of C e_q(-lam.h(x)) = e^{-mu} e^{-lam.h(u(x))} |J(x)|.
 
-    For a pure mean constraint anchored at (0, 0) the closed identity
-    e^{-lam u(x)} / g(x) = (2-q) e_q(-lam x) is checked as well.
+    Each grid point is mapped once, to g, J and u; the densities t.density(x)
+    and s.density(u) |J| are then evaluated on the whole grid.  For a pure
+    mean constraint anchored at (0, 0) the closed identity e^{-lam u(x)} /
+    g(x) = (2-q) e_q(-lam x) is checked as well, on the same u and g.
     """
     if not (_same_constraints(s.cs, t.cs)
             and _same_constraints(s.cs, map_.spec.cs)):
         raise ConfigurationError(
             "transport check requires identical constraint sets on the "
             "Shannon solution, Tsallis solution, and map")
-    profile = []
-    for x in grid:
-        lhs = t.C * q_exp(-t.cs.potential(x), t.q)
-        u = map_.u(x)
-        rhs = _exp_or_inf(-s.mu - s.cs.potential(u)) * abs(map_.J(x))
-        profile.append((float(x), abs(lhs - rhs)))
-    max_residual = max(res for _, res in profile)
+    xs = np.array(grid, dtype=float)
+    points = xs.tolist()
+    g = [map_.g(x) for x in points]
+    jac, u = np.array([map_.J(x) for x in points]), np.array([map_.u(x) for x in points])
+    p_t, p_push = t.density(xs), s.density(u) * np.abs(jac)
+    residual = np.abs(p_t - p_push)
+    rows = tuple(map(tuple, np.column_stack((xs, g, jac, u, p_t, p_push, residual)).tolist()))
+    max_residual = float(residual.max())
 
     factor_max = None
     lam = t.cs.linear_coefficient()
     if (lam is not None and map_.spec.anchor_x == 0.0
             and map_.spec.anchor_u == 0.0 and map_.spec.c == 0.0):
-        two_minus_q = 2.0 - t.q.q
-        factor_max = max(
-            abs(math.exp(-lam * map_.u(x)) / map_.g(x)
-                - two_minus_q * q_exp(-lam * x, t.q))
-            for x in grid)
+        rhs = (2.0 - t.q.q) * q_exp(-lam * xs, t.q)
+        factor_max = max(abs(math.exp(-lam * uk) / gk - rk)
+                         for uk, gk, rk in zip(u.tolist(), g, rhs.tolist()))
 
-    return TransportReport(grid=tuple(float(x) for x in grid),
-                           max_abs_residual=max_residual,
-                           profile=tuple(profile),
-                           passed=max_residual < tol,
-                           factor_max_residual=factor_max)
+    return TransportReport(rows=rows, max_abs_residual=max_residual,
+                           passed=max_residual < tol, factor_max_residual=factor_max)
 
 
 def sample_and_test(t: TsallisSolution, map_: TransformMap, n: int,

@@ -379,6 +379,20 @@ class TransformSpec:
         (lo, hi), support = self._zeros, self._support
         return (lo if lo > -math.inf else support.lower, hi if hi < math.inf else support.upper)
 
+    @cached_property
+    def _orientation(self) -> int:
+        """The sign of g at anchor_x, and on its sign interval."""
+        g_anchor = g_general(self.anchor_x, self)
+        if g_anchor == 0.0:
+            raise ConfigurationError(
+                "inverse Jacobian vanishes at the anchor; pick another anchor or c")
+        return 1 if g_anchor > 0.0 else -1
+
+    @cached_property
+    def _image(self) -> tuple[float, float]:
+        """The ordered image of the whole support under u (`u_image`)."""
+        return u_image(self)
+
 
 def g_general(x: float, spec: TransformSpec) -> float:
     """General closed form of the inverse Jacobian, with integration constant c.
@@ -508,7 +522,6 @@ def u_image(spec: TransformSpec,
     degree = spec.cs.degree
     middle_q = 1.0 < qi.q < 2.0
     decay = degree / (qi.q - 1.0) if spec.c != 0.0 and middle_q else degree
-    orientation = 1.0 if g_general(spec.anchor_x, spec) > 0.0 else -1.0
 
     def side_limit(end: float, sign_end: float, zero: float, direction: float) -> float:
         if direction * (sign_end - end) > 0.0:
@@ -518,7 +531,7 @@ def u_image(spec: TransformSpec,
                 return _path(spec, sign_end)
         elif sign_end != zero and spec.c != 0.0 and not middle_q:   # an edge, not a zero of g
             return _edge_path(spec, sign_end, direction)
-        return direction * orientation * math.inf
+        return direction * spec._orientation * math.inf
 
     zero_lo, zero_hi = spec._zeros
     u_lo = side_limit(interval.lower, sign_lo, zero_lo, -1.0)
@@ -526,14 +539,13 @@ def u_image(spec: TransformSpec,
     return (u_lo, u_hi) if u_lo <= u_hi else (u_hi, u_lo)
 
 
-def x_of_u(u: float, spec: TransformSpec, *,
-           image: tuple[float, float] | None = None) -> float:
+def x_of_u(u: float, spec: TransformSpec) -> float:
     """Inverse of u_of_x, closed-form when available, else safeguarded Newton.
 
     The root is bracketed by steps that double out from the anchor, up to
     the end of g's sign interval, and found by `safeguarded_newton` with the
-    exact slope 1/g.  u must lie inside the image u_image(spec), which a
-    caller that holds it (TransformMap) passes in.
+    exact slope 1/g.  u must lie inside the image u_image(spec), which the
+    spec computes once.
     """
     qi = spec.q
     if qi.is_classical():
@@ -549,7 +561,7 @@ def x_of_u(u: float, spec: TransformSpec, *,
             raise RangeError(f"u = {u!r} is beyond the representable range "
                              f"of the inverse map") from None
         return (1.0 - phi_anchor * decay) / (one_minus_q * a)
-    lo, hi = image if image is not None else u_image(spec)
+    lo, hi = spec._image
     if not (lo < u < hi):
         raise RangeError(
             f"u = {u!r} is outside the attained range ({lo!r}, {hi!r})")
@@ -560,8 +572,7 @@ def x_of_u(u: float, spec: TransformSpec, *,
     def gap(x: float) -> float:     # positive on the anchor's side of the root
         return sign * (u - u_of_x(x, spec))
 
-    increasing = g_general(spec.anchor_x, spec) > 0.0
-    end = spec._sign_interval[1 if (u > spec.anchor_u) == increasing else 0]
+    end = spec._sign_interval[1 if (u > spec.anchor_u) == (spec._orientation > 0) else 0]
     direction = math.copysign(1.0, end - spec.anchor_x)
     inside, step = spec.anchor_x, max(1.0, abs(spec.anchor_x))
     for _ in range(200):    # steps double out from the anchor, so no path is far longer than x's
@@ -627,13 +638,8 @@ class TransformMap:
     def from_spec(cls, spec: TransformSpec) -> "TransformMap":
         if spec.q.is_classical():
             _require_classical_shift(spec)
-        g_anchor = g_general(spec.anchor_x, spec)
-        if g_anchor == 0.0:
-            raise ConfigurationError(
-                "inverse Jacobian vanishes at the anchor; pick another anchor or c")
-        orientation = 1 if g_anchor > 0.0 else -1
-        return cls(spec=spec, orientation=orientation, support=spec._support,
-                   u_image=u_image(spec))
+        return cls(spec=spec, orientation=spec._orientation, support=spec._support,
+                   u_image=spec._image)
 
     def g(self, x: float) -> float:
         return g_general(x, self.spec)
@@ -648,4 +654,4 @@ class TransformMap:
         return u_of_x(x, self.spec)
 
     def x(self, u: float) -> float:
-        return x_of_u(u, self.spec, image=self.u_image)
+        return x_of_u(u, self.spec)

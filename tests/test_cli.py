@@ -388,3 +388,119 @@ README_ARTIFACTS = [
 def test_readme_artifacts_are_pinned(capsys, argv, code, digest):
     got, out, err = run_main(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
+
+
+def _json_value(text: str):
+    """A flag's text as the JSON value a config file would hold."""
+    if text.lstrip("+-") == "inf":
+        return float(text)
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _config_of(argv) -> tuple[str, dict]:
+    """The subcommand of argv and a config file holding all its options:
+    numbers as JSON numbers, and grid, anchor and domain as lists."""
+    from qbridge import cli
+    args = cli.build_parser().parse_args(list(argv))
+    doc = {}
+    for opt in cli.OPTIONS:
+        text = getattr(args, opt.dest)
+        if text is None:
+            continue
+        if opt.repeated:
+            doc[opt.dest] = [_json_value(t) for t in text]
+        elif opt.joiner:
+            doc[opt.dest] = [_json_value(t) for t in text.split(opt.joiner)]
+        else:
+            doc[opt.dest] = _json_value(text)
+    return args.command, doc
+
+
+@pytest.mark.parametrize("argv, code, digest", README_ARTIFACTS,
+                         ids=[" ".join(a) for a, _, _ in README_ARTIFACTS])
+def test_a_config_file_prints_what_its_flags_print(capsys, tmp_path, argv, code, digest):
+    command, doc = _config_of(argv)
+    assert any(isinstance(v, list) for v in doc.values())
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    got, out, err = run_main(capsys, command, "--config", str(config))
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), err
+
+
+@pytest.mark.parametrize("bad", [
+    {"q": "abc"}, {"lambdas": 5}, {"grid": [0, 1]}, {"seed": "x"}, {"anchor": 3},
+    {"lambda": [1.0]},      # not an option's name
+])
+def test_a_bad_config_value_exits_two(capsys, tmp_path, bad):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"q": 0.5, "lambdas": [1], "kinds": ["identity"],
+                                  "grid": [0, 1, 3], **bad}))
+    code, out, err = run_main(capsys, "transform", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("qbridge: ") and err.count("\n") == 1
+
+
+def test_a_flag_wins_over_a_bad_config_value(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"q": "abc", "lambdas": [1], "kinds": ["identity"]}))
+    code, _, err = run_main(capsys, "averages", "--config", str(config), "--q", "0.5")
+    assert code == 0, err
+
+
+def test_every_option_sets_a_run_config_field():
+    import argparse
+    from dataclasses import fields
+
+    from qbridge import cli
+    dests = [opt.dest for opt in cli.OPTIONS]
+    assert len(set(dests)) == len(dests)
+    assert set(dests) == {f.name for f in fields(cli.RunConfig)} - {"command"}
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for parser in sub.choices.values():
+        flags = {a.option_strings[0]: a.dest for a in parser._actions
+                 if a.option_strings and a.dest != "help"}
+        assert flags == {"--config": "config", **{o.flag: o.dest for o in cli.OPTIONS}}
+        assert len(flags) == 16
+
+
+@pytest.mark.parametrize("argv, domain", [
+    (("--q", "1.5", *_ID, "--grid", "0:3:13"), (0.0, math.inf)),
+    (("--q", "1.5", "--lambda", "1", "--h", "poly:0,0,0,0,1", "--domain=-inf:inf",
+      "--grid=-1.5:1.5:11"), (-math.inf, math.inf)),
+])
+def test_transform_prints_the_rows_verify_transport_computes(capsys, argv, domain):
+    code, out, err = run_main(capsys, "transform", *argv)
+    assert code == 0, err
+    lines = out.splitlines()
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    kind = "identity" if "identity" in argv else "poly:0,0,0,0,1"
+    from qbridge import cli
+    cs = qb.ConstraintSet((cli.parse_kind(kind),), (1.0,))
+    map_ = qb.TransformMap.from_spec(qb.TransformSpec(qb.QIndex(1.5), cs))
+    t = qb.normalize_tsallis(1.5, cs, qb.QuadratureSpec(), support=map_.support,
+                             domain=qb.SupportInterval(*domain))
+    s = qb.shannon_partner(t, map_, qb.QuadratureSpec())
+    report = qb.verify_transport(s, t, map_, [row[0] for row in rows], tol=1e-6)
+    assert lines[0].split(",")[-1] == "transport_residual"
+    assert [row[-1] for row in rows] == [r for _, r in report.profile]
+    assert rows == list(report.rows)
+
+
+def test_sample_builds_no_shannon_partner(capsys, monkeypatch):
+    from qbridge import cli
+
+    def refuse(*args):
+        raise AssertionError("sample built a Shannon partner")
+
+    monkeypatch.setattr(cli, "shannon_partner", refuse)
+    args = ("sample", "--q", "1.5", *_ID, "--n-samples", "1000")
+    assert run_main(capsys, *args)[0] == 0
+    # g vanishes inside the support at c = -0.4, which only the partner
+    # would find: sampling refuses the non-canonical map first
+    code, out, err = run_main(capsys, *args, "--c", "-0.4")
+    assert (code, out) == (2, "")
+    assert "sampling assumes the canonical map" in err

@@ -225,6 +225,43 @@ def test_transport_cutoff_case(quad):
     assert report.factor_max_residual < 1e-10
 
 
+def test_transport_rows_map_each_point_once(quad, monkeypatch):
+    # one u(x) per point serves the row and the closed factor check, and the
+    # densities evaluated on the whole grid equal their values point by point
+    import qbridge.transform
+    t, s, map_ = matched_solutions(0.5, identity_cs(), HALF_LINE, quad)
+    grid = np.linspace(0.0, 1.9, 20)
+    calls = []
+    u_of_x = qbridge.transform.u_of_x
+    monkeypatch.setattr(qbridge.transform, "u_of_x",
+                        lambda x, spec: calls.append(x) or u_of_x(x, spec))
+    report = qb.verify_transport(s, t, map_, grid, tol=1e-8)
+    assert len(calls) == len(grid) and report.factor_max_residual < 1e-10
+    for x, row in zip(grid.tolist(), report.rows):
+        g, jac, u = map_.g(x), map_.J(x), map_.u(x)
+        p_t, p_push = t.density(x), s.density(u) * abs(jac)
+        assert row == (x, g, jac, u, p_t, p_push, abs(p_t - p_push))
+    assert report.profile == tuple((row[0], row[-1]) for row in report.rows)
+    assert report.max_abs_residual == max(row[-1] for row in report.rows)
+
+
+@pytest.mark.parametrize("q, domain", [
+    (0.5, HALF_LINE),                       # support [0, 2), g > 0
+    (2.5, SupportInterval(-1.0, 0.0)),      # support (-2/3, 0], g < 0
+])
+def test_the_partner_keeps_a_closed_end_of_the_support(quad, q, domain):
+    # the Tsallis density is positive at its closed end x = 0; u(0) = 0 is
+    # the lower end of u's image for either orientation of the map, and the
+    # partner's density there is the pushforward, not 0
+    map_ = TransformMap.from_spec(TransformSpec(QIndex(q), identity_cs()))
+    t = qb.normalize_tsallis(q, identity_cs(), quad, domain=domain, support=map_.support)
+    s = qb.shannon_partner(t, map_, quad)
+    assert (s.domain.lower, s.domain.upper) == (0.0, math.inf)
+    assert s.domain.closed_lower and not s.domain.closed_upper
+    assert map_.u(0.0) == 0.0
+    assert s.density(0.0) * abs(map_.J(0.0)) == pytest.approx(t.density(0.0), rel=1e-12)
+
+
 def test_transport_factor_identity_points(quad):
     t, s, map_ = matched_solutions(1.5, identity_cs(), HALF_LINE, quad)
     for x in (0.5, 1.0, 5.0):

@@ -244,6 +244,32 @@ def test_general_constraint_map_round_trip_and_range():
         qb.x_of_u(1.2, spec)
 
 
+def test_the_spec_works_out_g_s_sign_at_the_anchor_and_u_s_image_once(monkeypatch):
+    # from_spec, u_image and x_of_u read both from the spec, so a direct
+    # x_of_u call does not work the image out again
+    import qbridge.transform as T
+    counts = {"image": 0, "g at the anchor": 0}
+    image, g = T.u_image, T.g_general
+
+    def counted_image(*args, **kwargs):
+        counts["image"] += 1
+        return image(*args, **kwargs)
+
+    def counted_g(x, spec):
+        counts["g at the anchor"] += x == spec.anchor_x
+        return g(x, spec)
+
+    monkeypatch.setattr(T, "u_image", counted_image)
+    monkeypatch.setattr(T, "g_general", counted_g)
+    spec = make_spec(0.5, c=0.3)
+    map_ = TransformMap.from_spec(spec)
+    for u in (0.5, 1.0):
+        assert qb.u_of_x(qb.x_of_u(u, spec), spec) == pytest.approx(u, abs=1e-9)
+    assert map_.x(0.5) == qb.x_of_u(0.5, spec)
+    assert map_.orientation == 1 and map_.u_image == spec._image
+    assert counts == {"image": 1, "g at the anchor": 1}
+
+
 def test_u_image_tail_checks_quadrature_convergence(monkeypatch):
     # the improper tail of u's image must not pass off an unconverged estimate
     import warnings
