@@ -467,22 +467,22 @@ def test_every_option_sets_a_run_config_field():
         assert len(flags) == 16
 
 
-@pytest.mark.parametrize("argv, domain", [
-    (("--q", "1.5", *_ID, "--grid", "0:3:13"), (0.0, math.inf)),
-    (("--q", "1.5", "--lambda", "1", "--h", "poly:0,0,0,0,1", "--domain=-inf:inf",
-      "--grid=-1.5:1.5:11"), (-math.inf, math.inf)),
+@pytest.mark.parametrize("h, domain, grid", [
+    ((0.0, 1.0), "0:inf", "0:3:13"),
+    ((0.0, 0.0, 0.0, 0.0, 1.0), "-inf:inf", "-1.5:1.5:11"),
 ])
-def test_transform_prints_the_rows_verify_transport_computes(capsys, argv, domain):
-    code, out, err = run_main(capsys, "transform", *argv)
+def test_transform_prints_the_rows_verify_transport_computes(capsys, h, domain, grid):
+    # q = 1.5, lam = 1; both grids lie inside the support, so none is clipped
+    code, out, err = run_main(capsys, "transform", "--q", "1.5", "--lambda", "1",
+                              "--h", "poly:" + ",".join(map(str, h)),
+                              f"--domain={domain}", f"--grid={grid}")
     assert code == 0, err
     lines = out.splitlines()
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
-    kind = "identity" if "identity" in argv else "poly:0,0,0,0,1"
-    from qbridge import cli
-    cs = qb.ConstraintSet((cli.parse_kind(kind),), (1.0,))
+    cs = qb.ConstraintSet((qb.ConstraintFn.polynomial(h),), (1.0,))
     map_ = qb.TransformMap.from_spec(qb.TransformSpec(qb.QIndex(1.5), cs))
     t = qb.normalize_tsallis(1.5, cs, qb.QuadratureSpec(), support=map_.support,
-                             domain=qb.SupportInterval(*domain))
+                             domain=qb.SupportInterval(*map(float, domain.split(":"))))
     s = qb.shannon_partner(t, map_, qb.QuadratureSpec())
     report = qb.verify_transport(s, t, map_, [row[0] for row in rows], tol=1e-6)
     assert lines[0].split(",")[-1] == "transport_residual"
