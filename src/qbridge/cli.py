@@ -363,10 +363,10 @@ def _interior_grid(cfg: RunConfig, tsallis, spec) -> list[float]:
 # commands
 
 def cmd_transform(cfg: RunConfig) -> int:
-    spec, map_, tsallis = _build_problem(cfg)
-    shannon = shannon_partner(tsallis, map_, spec.quad)
     if cfg.grid is None:
         raise ConfigurationError("transform requires --grid min:max:count")
+    spec, map_, tsallis = _build_problem(cfg)
+    shannon = shannon_partner(tsallis, map_, spec.quad)
     grid = sorted(_interior_grid(cfg, tsallis, spec))
     rows = verify_transport(shannon, tsallis, map_, grid, TRANSPORT_TOL).rows
     if cfg.format == "csv":

@@ -7,10 +7,12 @@ constraint), from the closed-form fit where one exists (the exponential
 on a half-line, the Gaussian on the line); x, x^2, x^4 on the line start
 at the exp(-(b x^2 + c x^4)) that matches K2 and K4/K2^2, read from a
 small table, tilted toward K1.
-Its gap is relative to max(1, |K_i|), an exact start takes one pass, and a
-pass that fails at the starting multipliers is reported as such.  One
-vectorized adaptive Gauss-Kronrod pass then re-checks the normalization
-and every moment of the solution, split at the density's modes.  Targets outside the moment set end at a dual
+Its gap is relative to max(1, |K_i|), an exact start takes no pass (log Z
+is in closed form), and a pass that fails at the starting multipliers is
+reported as such.  One vectorized adaptive Gauss-Kronrod pass then
+re-checks the normalization and every moment of the solution, split at the
+density's modes, each tail mapped at the density's own width.  Targets
+outside the moment set end at a dual
 certificate: multipliers lam with lam.K below the infimum of lam.h over
 the domain, found inside the moment pass and raised as FeasibilityError.
 The Tsallis solution keeps the same multipliers and only renormalizes, on
@@ -210,10 +212,11 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
 
     All three come from one vectorized pass of the nested double-exponential
     rule over nodes x_k and the matrix H[i, k] = h_i(x_k), both built once
-    per process (`de_rule`, and `_moment_rows`, which holds [1; H]): one
-    product of the weights with [1; H] gives Z and every Z E[h_i] with
-    their coarse-level sums, scales and end terms.  The weights are
-    shifted by min_k lam.h(x_k), so log Z is formed in log space.  A pass
+    per process (`de_rule`, and `_moment_matrices`, which holds [1; H],
+    |[1; H]| and the even-node columns of [1; H]): three products with the
+    weights give Z and every Z E[h_i], their scales and their coarse-level
+    sums.  The weights are shifted by min_k lam.h(x_k), so log Z is formed
+    in log space.  A pass
     starts at that finest level and refines until it and the level below
     it (its even nodes) agree to `quad`'s tolerances; it raises
     QuadratureError when they never do, or when the weight at the
@@ -232,7 +235,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
         for level in range(finest[0], DE_MAX_LEVEL + 1):
             finest[0] = level
             w = de_rule(domain, level)[1]
-            R = _moment_rows(constraints, domain, level)
+            R, A, even = _moment_matrices(constraints, domain, level)
             H = R[1:]
             # inf and nan from overflow at the outer nodes are checked below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -247,11 +250,9 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 np.subtract(shift, f, out=f)
                 np.exp(f, out=f)
                 f *= w
-                # rows of [1; H] times the weight: row 0 gives Z, row i Z E[h_i]
-                rows = R * f
-                sums, coarse = rows.sum(axis=1), 2.0 * rows[:, ::2].sum(axis=1)
-                scale = np.abs(rows, out=rows).sum(axis=1)
-                ends = np.maximum(rows[:, 0], rows[:, -1])
+                # row 0 gives Z, row i Z E[h_i]; the weight f is positive
+                sums, scale, coarse = R @ f, A @ f, 2.0 * (even @ f[::2])
+                ends = np.maximum(A[:, 0] * f[0], A[:, -1] * f[-1])
                 z, mean = sums[0], sums[1:] / sums[0]
             if not np.isfinite(mean).all():
                 raise QuadratureError(f"moments overflow on the nodes for lam = {lam.tolist()}")
@@ -261,7 +262,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
             if (abs(z - coarse[0]) <= quad.rel_tol * z
                     and (np.abs(mean - coarse[1:] / coarse[0])
                          <= np.maximum(quad.abs_tol, quad.rel_tol * scale[1:] / z)).all()):
-                d = np.subtract(H, mean[:, None], out=rows[1:])
+                d = H - mean[:, None]
                 cov = (d * f) @ d.T / z
                 return mean, math.log(z) - shift, cov
         raise QuadratureError(
@@ -285,6 +286,18 @@ def _moment_rows(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
         rows = np.array([np.ones_like(x)] + [c.value(x) for c in constraints])
     rows.flags.writeable = False
     return rows
+
+
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _moment_matrices(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
+                     level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_moment_rows`, its absolute value and its even-node columns (the
+    nodes of the level below), each read-only and cached as it is: the
+    moment pass's three products with the weights."""
+    rows = _moment_rows(constraints, domain, level)
+    absolute, even = np.abs(rows), np.ascontiguousarray(rows[:, ::2])
+    absolute.flags.writeable = even.flags.writeable = False
+    return rows, absolute, even
 
 
 def _bisection_fallback(constraint: ConstraintFn, target: float,
@@ -346,13 +359,16 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
     single-constraint problems fall back to a bracketed safeguarded Newton
     solve when Newton stalls.  With more constraints, a QuadratureError of
     the pass at the starting multipliers raises a SolverError that says so
-    and chains it.  Newton starts at the closed-form fit where there is one
-    (see `_newton_start`), and such an exact start takes a single moment
-    pass; x, x^2, x^4 on the line start at exp(-(b x^2 + c x^4)) fitted to
-    K2 and K4/K2^2, with the tilt -K1/K2.  mu = log Z
-    comes from the same pass, and one vectorized adaptive Gauss-Kronrod
-    pass re-checks the normalization and every moment of the result,
-    integrating between the modes of the density.
+    and chains it.  Where the closed-form fit exists (see `_newton_start`:
+    the exponential on a half-line, the Gaussian on the line) it is the
+    solution, with mu = log Z in closed form and no moment pass; x, x^2,
+    x^4 on the line start Newton at exp(-(b x^2 + c x^4)) fitted to K2 and
+    K4/K2^2, with the tilt -K1/K2.  Elsewhere mu = log Z comes from
+    Newton's last pass.  One vectorized adaptive Gauss-Kronrod pass
+    re-checks the normalization and every moment of every result,
+    integrating between the modes of the density; a QuadratureError of
+    that re-check on a closed-form fit raises a SolverError that chains
+    it, as a failed first pass does.
 
     Raises FeasibilityError, carrying the Newton trace and the multipliers
     as `certificate`, as soon as a trial point's lam.K falls below the
@@ -370,36 +386,43 @@ def solve_shannon(cs: ConstraintSet, domain: SupportInterval,
             raise FeasibilityError(
                 f"square observable cannot average to non-positive target {k!r}")
 
-    targets = np.array(cs.targets)
-    moments = _moment_functions(cs.constraints, domain, quad, targets=targets)
-    lams = _newton_start(cs.constraints, cs.targets, domain)
+    lams, log_z = _newton_start(cs.constraints, cs.targets, domain)
+    exact = log_z is not None
     trace: list = []
-    try:
-        lams, log_z, converged = _newton(moments, lams, targets, trace)
-    except FeasibilityError as exc:   # a moment pass found a certificate
-        exc.trace = trace
-        raise
-    except QuadratureError as exc:    # the pass at the starting multipliers failed
-        if m > 1:
-            raise SolverError(
-                f"the moment pass at the starting multipliers {lams.tolist()} "
-                f"failed: {exc}", trace=trace) from exc
-        converged = False
-
-    if not converged:
-        if m == 1:
-            lam = _bisection_fallback(cs.constraints[0], float(targets[0]),
-                                      domain, quad, trace)
-            lams = np.array([lam])
-            _, log_z, _ = moments(lams)
-        else:
-            raise SolverError("Newton stagnated on the moment conditions",
-                              trace=trace)
+    if not exact:
+        targets = np.array(cs.targets)
+        moments = _moment_functions(cs.constraints, domain, quad, targets=targets)
+        try:
+            lams, log_z, converged = _newton(moments, lams, targets, trace)
+        except FeasibilityError as exc:   # a moment pass found a certificate
+            exc.trace = trace
+            raise
+        except QuadratureError as exc:    # the pass at the starting multipliers failed
+            if m > 1:
+                raise SolverError(
+                    f"the moment pass at the starting multipliers {lams.tolist()} "
+                    f"failed: {exc}", trace=trace) from exc
+            converged = False
+        if not converged:
+            if m == 1:
+                lam = _bisection_fallback(cs.constraints[0], float(targets[0]),
+                                          domain, quad, trace)
+                lams = np.array([lam])
+                _, log_z, _ = moments(lams)
+            else:
+                raise SolverError("Newton stagnated on the moment conditions",
+                                  trace=trace)
 
     fitted = ConstraintSet(cs.constraints, tuple(float(v) for v in lams),
                            targets=cs.targets)
     solution = ShannonSolution(mu=float(log_z), cs=fitted, domain=domain)
-    _check_shannon_invariants(solution, quad)
+    try:
+        _check_shannon_invariants(solution, quad)
+    except QuadratureError as exc:    # as a failed first pass would be
+        if not exact:
+            raise
+        raise SolverError(f"the re-check of the closed-form fit {lams.tolist()} "
+                          f"failed: {exc}", trace=trace) from exc
     return solution
 
 
@@ -446,12 +469,14 @@ def _quartic_start(k1: float, k2: float, k4: float) -> np.ndarray | None:
 
 
 def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, ...],
-                  domain: SupportInterval) -> np.ndarray:
-    """Newton's first multipliers: the exact fit where one is closed-form.
+                  domain: SupportInterval) -> tuple[np.ndarray, float | None]:
+    """Newton's first multipliers, and log Z where they are the exact,
+    closed-form fit (None elsewhere): such a fit needs no moment pass.
 
-    x on [a, inf) with K > a is fitted by the exponential, lam = 1/(K-a).
-    x, x^2 on the real line with v = K2 - K1^2 > 0 is fitted by the
-    Gaussian, (-K1/v, 1/(2v)).  With v <= 0, (-2 K1, 1) is a dual
+    x on [a, inf) with K > a is fitted by the exponential, lam = 1/(K-a),
+    log Z = -lam a - log lam.  x, x^2 on the real line with
+    v = K2 - K1^2 > 0 is fitted by the Gaussian, (-K1/v, 1/(2v)),
+    log Z = log(2 pi v)/2 + K1^2/(2v).  With v <= 0, (-2 K1, 1) is a dual
     certificate: lam.K = K2 - 2 K1^2 lies at or below inf lam.h = -K1^2,
     which the first moment pass's gate then tests.  x, x^2, x^4 on the real
     line with v > 0 start at the fourth-moment fit (`_quartic_start`): the
@@ -465,7 +490,8 @@ def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, .
     shape = tuple(c.coefficients for c in constraints)
     lo, hi = domain.lower, domain.upper
     if shape == (_X,) and math.isfinite(lo) and math.isinf(hi) and targets[0] > lo:
-        return np.array([1.0 / (targets[0] - lo)])
+        lam = 1.0 / (targets[0] - lo)
+        return np.array([lam]), -lam * lo - math.log(lam)
     if shape in ((_X, _X2), (_X, _X2, _X4)) and math.isinf(lo) and math.isinf(hi):
         k1, k2 = targets[:2]
         v = k2 - k1 * k1
@@ -473,10 +499,12 @@ def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, .
         if v > 0.0:                 # 0 - k1: never -0.0
             start = _quartic_start(k1, k2, targets[2]) if quartic else None
             if start is not None:
-                return start
-            return np.array([(0.0 - k1) / v, 0.5 / v] + [_QUARTIC_START / (v * v)] * quartic)
-        return np.array([-2.0 * k1, 1.0] + [0.0] * quartic)
-    return np.array([1.0 / (1.0 + abs(k)) for k in targets])
+                return start, None
+            start = np.array([(0.0 - k1) / v, 0.5 / v] + [_QUARTIC_START / (v * v)] * quartic)
+            return start, (None if quartic
+                           else 0.5 * math.log(2.0 * math.pi * v) + k1 * k1 / (2.0 * v))
+        return np.array([-2.0 * k1, 1.0] + [0.0] * quartic), None
+    return np.array([1.0 / (1.0 + abs(k)) for k in targets]), None
 
 
 def _newton(moments, lams: np.ndarray, targets: np.ndarray,
@@ -537,7 +565,10 @@ def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
     solver's moments come from `de_rule`'s tanh-sinh, exp-sinh and
     sinh-sinh nodes; these are Gauss-Kronrod nodes on QUADPACK's map of an
     infinite end, another family with other nodes, so the re-check does not
-    test the rule against itself.
+    test the rule against itself.  That map is scaled to `cs.width` at the
+    side's finite end, the distance over which lam.h grows by about 1, so
+    that the first round's 16 sub-intervals span the tail at any scale.
+    A closed-form fit takes no moment pass, and this is its only check.
     """
     tol = 10.0 * quad.rel_tol
     # The re-check integrates 10x tighter than the tolerance it asserts, and
@@ -559,7 +590,7 @@ def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
         p = np.exp(-s.mu - s.cs.potential(u))
         return np.array([p, *(p * c.value(u) for c in s.cs.constraints)])
 
-    total, *moments = integrate_rows(rows, parts, check).tolist()
+    total, *moments = integrate_rows(rows, parts, check, width=s.cs.width).tolist()
     if abs(total - 1.0) > tol:
         raise SolverError(f"normalization check failed: integral {total!r}")
     for moment, k in zip(moments, s.cs.targets):

@@ -16,9 +16,9 @@ tail is truncated where its remaining mass falls below `tail_mass_cut`.
 
 `integrate_rows` integrates several functions that share their nodes,
 over several pieces at once, by an adaptive Gauss-Kronrod (G10K21) rule
-in numpy, with QUADPACK's map of an infinite end.  It serves integrands
-with smooth, fast-decaying tails, such as an exponential family and its
-moments.
+in numpy, with QUADPACK's map of an infinite end scaled to the width on
+which the integrand decays.  It serves integrands with smooth,
+fast-decaying tails, such as an exponential family and its moments.
 
 `de_rule` gives the fixed nodes and weights of the double-exponential
 rule, for batches of integrals that share one weight, such as the
@@ -173,14 +173,15 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
           end: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K21 estimates, |K21 - G10| errors and K21 estimates of the absolute
     value, each (rows, sub-intervals), of f on the sub-intervals [lo, hi]
-    in t.  Where `end` is +1 or -1 the sub-interval lies in (0, 1] and
-    x = origin + end (1-t)/t; where it is 0, x = t."""
+    in t.  Where `end` is nonzero the sub-interval lies in (0, 1] and
+    x = origin + end (1-t)/t, end being the side's width with the sign of
+    its direction; where it is 0, x = t."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES
     mapped = (end != 0.0)[:, None]
     s = np.where(mapped, t, 1.0)          # no 1/t on the finite pieces
     x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
-    w = half[:, None] / np.where(mapped, s * s, 1.0)
+    w = np.where(mapped, np.abs(end)[:, None], 1.0) * half[:, None] / np.where(mapped, s * s, 1.0)
     with np.errstate(all="ignore"):
         values = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape) * w
     if not np.isfinite(values).all():
@@ -190,33 +191,40 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
 
 
 def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
-                   pieces: Sequence[SupportInterval], spec: QuadratureSpec) -> np.ndarray:
+                   pieces: Sequence[SupportInterval], spec: QuadratureSpec,
+                   width: Callable[[float], float] | None = None) -> np.ndarray:
     """Integrals over the union of `pieces` of the rows of f, which maps a
     1-D array of n nodes to an (m, n) array: m integrands on shared nodes.
 
     One adaptive Gauss-Kronrod (G10K21) pass refines all pieces together.
-    An infinite end uses QUADPACK's map x = a + (1-t)/t, dx = dt/t^2 on
-    t in (0, 1]; a piece infinite at both ends is split at 0 first.  Each
-    piece starts at 16 equal sub-intervals, and a sub-interval's share of
-    the tolerance is its fraction of its piece over the number of pieces.
-    A round bisects every sub-interval whose error exceeds its share for
-    some row.  The error is the raw |K21 - G10|, summed per row, and the
-    pass ends when each row's error is at most
-    max(abs_tol, rel_tol * integral of |row|).
+    An infinite side from a finite end a uses QUADPACK's map scaled by the
+    side's width s = width(a): x = a +- s (1-t)/t, dx = s dt/t^2 on
+    t in (0, 1].  Without `width`, s = 1, QUADPACK's own map; with the
+    scale on which the rows decay, the first round's 16 sub-intervals fit
+    a tail of any scale.  A piece infinite at both ends is split at 0
+    first.  Each piece starts at 16 equal sub-intervals, and a
+    sub-interval's share of the tolerance is its fraction of its piece
+    over the number of pieces.  A round bisects every sub-interval whose
+    error exceeds its share for some row.  The error is the raw
+    |K21 - G10|, summed per row, and the pass ends when each row's error is
+    at most max(abs_tol, rel_tol * integral of |row|).
 
     Raises QuadratureError when f is not finite at a node (it overflows),
     or when the sub-intervals would exceed max_subdivisions per piece (f
     does not decay toward an infinite end, or is not smooth enough).
     """
+    def side(direction: float, origin: float) -> tuple[float, float, float, float]:
+        return 0.0, 1.0, direction * (1.0 if width is None else width(origin)), origin
+
     spans = []      # (t0, t1, end, origin) of each span, as _gk21 reads them
     for part in pieces:
         a, b = part.lower, part.upper
         if math.isinf(a) and math.isinf(b):
-            spans += [(0.0, 1.0, -1.0, 0.0), (0.0, 1.0, 1.0, 0.0)]
+            spans += [side(-1.0, 0.0), side(1.0, 0.0)]
         elif math.isinf(b):
-            spans.append((0.0, 1.0, 1.0, a))
+            spans.append(side(1.0, a))
         elif math.isinf(a):
-            spans.append((0.0, 1.0, -1.0, b))
+            spans.append(side(-1.0, b))
         else:
             spans.append((a, b, 0.0, 0.0))
     t0, t1, end, origin = np.array(spans).T

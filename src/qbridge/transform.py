@@ -199,6 +199,20 @@ class ConstraintSet:
         keeps its sign."""
         return tuple(_real_roots(self._slope))
 
+    def width(self, x: float) -> float:
+        """The distance from x at which the largest term of lam.h's Taylor
+        expansion about x, c_k y^k with k >= 1, reaches 1: min_k |c_k|^(-1/k).
+        1.0 where that is not finite (every c_k is 0, or so small, such as a
+        subnormal, that 1/|c_k|^(1/k) overflows)."""
+        c = list(self._ascending)
+        for i in range(len(c) - 1):     # c_k of lam.h(x + y), by synthetic division
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += x * c[j + 1]
+        # max_k |c_k|^(1/k) cannot overflow where its reciprocal can
+        root = max((abs(a) ** (1.0 / k) for k, a in enumerate(c) if k), default=0.0)
+        width = 1.0 / root if root > 0.0 else math.inf
+        return width if math.isfinite(width) else 1.0
+
     def linear_coefficient(self) -> float | None:
         """a when dot(lam, h(x)) == a*x exactly, else None."""
         coeffs = self.combined_coefficients()

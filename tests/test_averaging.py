@@ -267,3 +267,25 @@ def test_escort_normalizer_is_the_dual_normalization(q, lam):
     dual = qb.normalize_tsallis(2.0 - 1.0 / q, identity_cs(q * lam), quad,
                                 domain=HALF_LINE, support=p.support)
     assert qb.escort_norm(p, q, quad).x_q == pytest.approx(p.C ** q / dual.C, rel=1e-12)
+
+
+# The q-exponential of lam x on [0, inf): C e_q(-lam x) has C = (2-q) lam,
+# and every average is a Beta integral in closed form.  Within EPS_Q1 of 1
+# (but not at 1) the density is evaluated at q = 1 and the escort power at
+# q, a mixture these closed forms do not describe.
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.0, 1.45, exclude_min=True).filter(
+           lambda v: v == 1.0 or abs(v - 1.0) >= qb.qkernel.EPS_Q1),
+       lam=st.floats(0.1, 10.0))
+@example(q=1.0, lam=1.0)
+@example(q=1.45, lam=0.1)
+@example(q=1e-3, lam=10.0)
+def test_half_line_averages_match_their_closed_forms(q, lam):
+    quad = qb.QuadratureSpec()
+    t = qb.normalize_tsallis(q, identity_cs(lam), quad, domain=HALF_LINE)
+    c = (2.0 - q) * lam
+    assert t.C == pytest.approx(c, rel=1e-11)
+    assert qb.mean_linear(t, X, quad) == pytest.approx(1.0 / ((3.0 - 2.0 * q) * lam), rel=1e-11)
+    assert qb.escort_norm(t, q, quad).x_q == pytest.approx(c ** q / lam, rel=1e-11)
+    assert qb.mean_ct(t, X, q, quad) == pytest.approx(c ** q / ((2.0 - q) * lam * lam), rel=1e-11)
+    assert qb.mean_tmp(t, X, q, quad) == pytest.approx(1.0 / ((2.0 - q) * lam), rel=1e-11)

@@ -89,3 +89,24 @@ def test_quartic_fits_of_a_run_average_at_most_five_moment_passes(monkeypatch):
         assert solve["name"] == "3c"
         assert "error" not in worker.solve(solve)
     assert len(passes) <= 5 * 100
+
+
+def test_fit_ops_average_at_most_5_7_moment_passes_and_3_3_re_check_rounds(monkeypatch):
+    # the exponential and Gaussian fits take no moment pass, and the re-check
+    # maps each tail at the density's own width: 7.62 passes and 4.38 rounds
+    # per operation with a pass for every fit and QUADPACK's unit-width map
+    import qbridge.maxent as maxent
+    import qbridge.quadrature as quadrature
+    build, gk21, passes, rounds = maxent._moment_functions, quadrature._gk21, [], []
+
+    def counting(*args, **kwargs):
+        moments = build(*args, **kwargs)
+        return lambda *a, **kw: passes.append(1) or moments(*a, **kw)
+
+    monkeypatch.setattr(maxent, "_moment_functions", counting)
+    monkeypatch.setattr(quadrature, "_gk21", lambda *a: rounds.append(1) or gk21(*a))
+    for index in range(100):
+        for solve in workloads.fit_op(7, "w0", index)["solves"]:
+            worker.solve(solve)
+    assert len(passes) <= 5.7 * 100
+    assert len(rounds) <= 3.3 * 100

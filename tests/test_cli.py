@@ -504,3 +504,18 @@ def test_sample_builds_no_shannon_partner(capsys, monkeypatch):
     code, out, err = run_main(capsys, *args, "--c", "-0.4")
     assert (code, out) == (2, "")
     assert "sampling assumes the canonical map" in err
+
+
+@pytest.mark.parametrize("q, domain", [(0.5, "0:inf"), (1.2, "-inf:inf")])
+def test_transform_without_a_grid_exits_two_before_normalizing(capsys, monkeypatch, q, domain):
+    # at q = 1.2 on the line the normalization fails ("pole-side edge", exit 3);
+    # the missing flag is found first
+    from qbridge import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform normalized before checking --grid")
+
+    monkeypatch.setattr(cli, "normalize_tsallis", refuse)
+    code, out, err = run_main(capsys, "transform", "--q", str(q), *_ID, f"--domain={domain}")
+    assert (code, out) == (2, "")
+    assert "transform requires --grid" in err

@@ -5,7 +5,8 @@ domain proves that no density has E[h] = K.  The moment pass looks for
 one whenever lam.K falls below the minimum of lam.h on its nodes.  Here
 the certificate the solver returns is re-checked on a dense grid (no
 numpy.roots), and targets planted from a real density, with moments
-from scipy's QUADPACK, must never be refused as infeasible.
+from scipy's QUADPACK (or mpmath where QUADPACK cannot certify its value),
+must never be refused as infeasible.
 """
 
 import math
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad as scipy_quad
 
 import qbridge as qb
 import qbridge.maxent as maxent
@@ -22,6 +22,7 @@ from qbridge import ConstraintFn, ConstraintSet, QuadratureSpec, SupportInterval
 from qbridge.maxent import _potential_minimum
 
 from conftest import HALF_LINE, REAL_LINE
+from oracles import certified_quad
 
 X, X2 = ConstraintFn.identity(), ConstraintFn.square()
 X4 = ConstraintFn.polynomial((0.0, 0.0, 0.0, 0.0, 1.0))
@@ -125,8 +126,7 @@ def _planted_targets(observables, p, domain):
         return math.exp(-sum(c * o.value(u) for c, o in zip(p, observables)))
 
     def integral(f):
-        return scipy_quad(f, domain.lower, domain.upper, epsabs=0.0, epsrel=1e-13,
-                          limit=200)[0]
+        return certified_quad(f, domain.lower, domain.upper)
 
     z = integral(weight)
     return tuple(integral(lambda u, o=o: weight(u) * o.value(u)) / z for o in observables)

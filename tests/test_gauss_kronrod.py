@@ -1,19 +1,20 @@
 """The vectorized adaptive Gauss-Kronrod rule and the Shannon re-check on it.
 
-scipy's QUADPACK at epsrel = 1e-13 is the oracle for every row.  The
+scipy's QUADPACK at epsrel = 1e-13 is the oracle for every row, or mpmath
+where QUADPACK cannot certify its value (`oracles.certified_quad`).  The
 integrands are exp(-P) for a polynomial P that decays toward every
 infinite end, times 1, x and x^2, on pieces split at the local minima of
 P as the Shannon re-check splits them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad as scipy_quad
 
 import qbridge as qb
 import qbridge.quadrature
@@ -21,6 +22,7 @@ from qbridge import ConstraintFn, ConstraintSet, QuadratureSpec, SupportInterval
 from qbridge.quadrature import integrate_rows
 
 from conftest import HALF_LINE, REAL_LINE
+from oracles import certified_quad
 
 CHECK = QuadratureSpec().tightened(10.0)   # the Shannon re-check's tolerances
 
@@ -62,8 +64,9 @@ def _check_rows(coeffs, lo, hi):
             return math.exp(-npoly.polyval(u, coeffs)) * u ** k
 
         def scipy(f):
-            return sum(scipy_quad(f, part.lower, part.upper, epsabs=0.0, epsrel=1e-13,
-                                  limit=200)[0] for part in pieces)
+            # certified to 1e-15 at least, below the 1e-13 the assertion allows
+            return sum(certified_quad(f, part.lower, part.upper, epsabs=1e-15)
+                       for part in pieces)
 
         scale = scipy(lambda u: abs(row(u)))
         assert abs(got[k] - scipy(row)) <= 1e-10 * scale + 1e-13, (k, got[k], scipy(row))
@@ -144,3 +147,101 @@ def test_shannon_solves_make_no_quadpack_call(monkeypatch):
     ]:
         cs = ConstraintSet(observables, (1.0,) * len(observables), targets=targets)
         qb.solve_shannon(cs, domain, QuadratureSpec())
+
+
+def _count_rounds(monkeypatch):
+    rounds, gk21 = [], qbridge.quadrature._gk21
+    monkeypatch.setattr(qbridge.quadrature, "_gk21",
+                        lambda *args: rounds.append(1) or gk21(*args))
+    return rounds
+
+
+# QUADPACK's unit-width map took 4, 1, 6, 11 and 18 rounds for these
+@pytest.mark.parametrize("k", [1e-3, 1.0, 30.0, 1e3, 1e5])
+def test_the_exponential_re_check_certifies_in_one_round(monkeypatch, k):
+    from qbridge.maxent import _check_shannon_invariants
+    rounds = _count_rounds(monkeypatch)
+    s = qb.ShannonSolution(mu=math.log(k), cs=ConstraintSet((X,), (1.0 / k,), targets=(k,)),
+                           domain=HALF_LINE)
+    _check_shannon_invariants(s, QuadratureSpec())
+    assert len(rounds) == 1
+
+
+@pytest.mark.parametrize("coefficients,x,width", [
+    ((0.0, 0.5), 3.0, 2.0),                     # lam x: 1/lam from any point
+    ((1.0, -2.0, 1.0), 1.0, 1.0),               # (x - 1)^2 about its minimum
+    ((0.0, 0.0, 0.0, 0.0, 1e-4), 0.0, 10.0),    # 1e-4 x^4
+    # about x = 1: 1e-4 (1 + 4y + 6y^2 + 4y^3 + y^4); y^4's term is the first to reach 1
+    ((0.0, 0.0, 0.0, 0.0, 1e-4), 1.0, 10.0),
+    ((0.0, 5e-324), 0.0, 1.0),                  # subnormal: 1/lam is not finite
+    ((7.0,), 0.0, 1.0),                         # constant: no term grows
+])
+def test_width_is_where_the_largest_taylor_term_reaches_one(coefficients, x, width):
+    cs = ConstraintSet((ConstraintFn(coefficients),), (1.0,))
+    assert cs.width(x) == pytest.approx(width, rel=1e-15)
+
+
+def test_a_subnormal_mean_fits_the_gaussian():
+    # the x multiplier -5e-324 has no finite width; x^2's sets the scale
+    cs = ConstraintSet((X, X2), (1.0, 1.0), targets=(5e-324, 1.0))
+    s = qb.solve_shannon(cs, REAL_LINE, QuadratureSpec())
+    assert s.cs.multipliers == pytest.approx((0.0, 0.5), abs=1e-300)
+    assert s.mu == pytest.approx(0.5 * math.log(2.0 * math.pi), rel=1e-15)
+
+
+POWERS = {1: X, 2: X2, 4: X4}
+
+
+@st.composite
+def _planted_fits(draw):
+    """(domain, powers, multipliers): 1-3 of x, x^2, x^4 on the half-line,
+    the line or [-1, 2], the highest power's multiplier at least 0.2 in
+    size and positive toward every infinite end, so exp(-lam.h) decays."""
+    domain = draw(st.sampled_from([HALF_LINE, REAL_LINE, SupportInterval(-1.0, 2.0)]))
+    powers = draw(st.sampled_from([(1,), (2,), (4,), (1, 2), (1, 4), (2, 4), (1, 2, 4)]))
+    assume(not (domain is REAL_LINE and powers == (1,)))    # x alone has no decay there
+    lower = draw(st.lists(st.floats(-0.5, 0.5), min_size=len(powers) - 1,
+                          max_size=len(powers) - 1))
+    lead = draw(st.floats(0.2, 1.0))
+    if math.isfinite(domain.upper):
+        lead *= draw(st.sampled_from([-1.0, 1.0]))
+    return domain, powers, (*lower, lead)
+
+
+def _exact_fit(domain, powers, lams):
+    """The ShannonSolution of exp(-lam.h) with mu = log Z and targets E[h]
+    from mpmath's tanh-sinh quadrature at 30 digits, split at 0."""
+    import mpmath
+    with mpmath.workdps(30):
+        def integral(k):
+            def f(u):
+                return u ** k * mpmath.exp(-sum(l * u ** p for l, p in zip(lams, powers)))
+            value, err = mpmath.quad(f, [domain.lower, 0.0, domain.upper]
+                                     if domain.lower < 0.0 < domain.upper
+                                     else [domain.lower, domain.upper], error=True)
+            assert err < 1e-20 * abs(value) + 1e-25
+            return value
+
+        z = integral(0)
+        targets = tuple(float(integral(p) / z) for p in powers)
+        mu = float(mpmath.log(z))
+    cs = ConstraintSet(tuple(POWERS[p] for p in powers), lams, targets=targets)
+    return qb.ShannonSolution(mu=mu, cs=cs, domain=domain)
+
+
+@settings(max_examples=75, deadline=None)
+@given(fit=_planted_fits())
+@example(fit=(HALF_LINE, (1,), (0.2,)))
+@example(fit=(REAL_LINE, (1, 2, 4), (-0.5, -0.5, 0.2)))     # a tilted double well
+@example(fit=(SupportInterval(-1.0, 2.0), (1, 2, 4), (0.5, 0.5, -1.0)))
+def test_the_re_check_accepts_exact_fits_and_refuses_their_mutants(fit):
+    from qbridge.maxent import _check_shannon_invariants
+    quad = QuadratureSpec()
+    s = _exact_fit(*fit)
+    _check_shannon_invariants(s, quad)
+    *lower, lead = s.cs.multipliers
+    mutants = [replace(s, mu=s.mu + 1e-8),
+               replace(s, cs=replace(s.cs, multipliers=(*lower, lead * (1.0 + 1e-7))))]
+    for mutant in mutants:
+        with pytest.raises(qb.SolverError, match="check failed"):
+            _check_shannon_invariants(mutant, quad)

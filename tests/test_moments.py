@@ -1,6 +1,7 @@
 """The batched double-exponential moment pass and the solver built on it.
 
-scipy's QUADPACK is the independent oracle for Z and E[h]; a central
+scipy's QUADPACK is the independent oracle for Z and E[h], or mpmath
+where QUADPACK cannot certify its value (`oracles.certified_quad`); a central
 difference of E[h] in lam checks the covariance Jacobian; closed forms
 (the Gaussian fit, lam = 1/K on the half-line) check solve_shannon.
 """
@@ -11,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad as scipy_quad
 
 import qbridge as qb
 from qbridge import ConstraintFn, ConstraintSet, QuadratureSpec, SupportInterval
 from qbridge.maxent import _moment_functions
 
 from conftest import HALF_LINE, REAL_LINE
+from oracles import certified_quad
 
 X, X2 = ConstraintFn.identity(), ConstraintFn.square()
 X3 = ConstraintFn.polynomial((0.0, 0.0, 0.0, 1.0))
@@ -38,9 +39,7 @@ FIXTURES = [
 
 
 def _scipy(f, domain):
-    value, _ = scipy_quad(f, domain.lower, domain.upper, epsabs=0.0, epsrel=1e-13,
-                          limit=200)
-    return value
+    return certified_quad(f, domain.lower, domain.upper)
 
 
 @pytest.mark.parametrize("domain,observables,lams", FIXTURES)
@@ -224,20 +223,33 @@ def _count_passes(monkeypatch):
     return passes
 
 
+# (observables, targets, domain, multipliers, mu = log Z) of the closed-form fits
+CLOSED_FORM_FITS = [
+    ((X,), (2.0,), HALF_LINE, [0.5], math.log(2.0)),
+    ((X,), (2.0,), SupportInterval(-1.0, math.inf), [1.0 / 3.0], math.log(3.0) + 1.0 / 3.0),
+    ((X, X2), (0.5, 1.0), REAL_LINE, [-2.0 / 3.0, 2.0 / 3.0],
+     0.5 * math.log(1.5 * math.pi) + 1.0 / 6.0),
+    ((X, X2), (0.0, 4.0), REAL_LINE, [0.0, 0.125], 0.5 * math.log(8.0 * math.pi)),
+    ((ConstraintFn.polynomial((0.0, 1.0, 0.0)),), (2.0,), HALF_LINE, [0.5],   # x + 0 x^2 is x
+     math.log(2.0)),
+]
+
+
 @pytest.mark.parametrize("observables,targets,domain,start", [
-    ((X,), (2.0,), HALF_LINE, [0.5]),
-    ((X,), (2.0,), SupportInterval(-1.0, math.inf), [1.0 / 3.0]),
-    ((X, X2), (0.5, 1.0), REAL_LINE, [-2.0 / 3.0, 2.0 / 3.0]),
-    ((X, X2), (0.0, 4.0), REAL_LINE, [0.0, 0.125]),
-    ((ConstraintFn.polynomial((0.0, 1.0, 0.0)),), (2.0,), HALF_LINE, [0.5]),   # x + 0 x^2 is x
-])
+    case[:4] for case in CLOSED_FORM_FITS])
 def test_newton_starts_at_the_closed_form_fit(monkeypatch, observables, targets, domain, start):
     passes = _count_passes(monkeypatch)
-    _solve(observables, targets, domain)
-    assert list(passes[0]) == pytest.approx(start, rel=1e-15)
+    s = _solve(observables, targets, domain)
+    assert list(s.cs.multipliers) == pytest.approx(start, rel=1e-15)
     if start[0] == 0.0:
-        assert math.copysign(1.0, passes[0][0]) == 1.0   # +0.0, never -0.0
-    assert len(passes) == 1    # the gap at the exact start is at rounding: no polish
+        assert math.copysign(1.0, s.cs.multipliers[0]) == 1.0   # +0.0, never -0.0
+    assert len(passes) == 0    # the exact start is the fit: no moment pass
+
+
+@pytest.mark.parametrize("observables,targets,domain,mu", [
+    (*case[:3], case[4]) for case in CLOSED_FORM_FITS])
+def test_a_closed_form_fit_takes_mu_from_its_closed_form_log_z(observables, targets, domain, mu):
+    assert _solve(observables, targets, domain).mu == pytest.approx(mu, rel=1e-14)
 
 
 @pytest.mark.parametrize("targets", [(1.0, 0.5), (-3.0, 8.0), (1.0, 1.0 - 1e-6),
@@ -366,11 +378,20 @@ def test_relative_gap_solves_a_wide_gaussian():
     assert s.mu == pytest.approx(mu, rel=1e-12)
 
 
-@pytest.mark.parametrize("targets", [(0.0, 1e-6), (1.0, 1.0 + 1e-6)])
+# the moments of the Gaussians of width 1e-3 at 0 and at 1, with E[x^4]
+@pytest.mark.parametrize("targets", [(0.0, 1e-6, 3e-12), (1.0, 1.0 + 1e-6, 1.0 + 6e-6)])
 def test_a_failed_first_moment_pass_is_reported_as_such(targets):
-    # DE levels 10 and 11 disagree on a peak of width 1e-3 at the exact start
+    # DE levels 10 and 11 disagree on a peak of width 1e-3 at the start
     with pytest.raises(qb.SolverError, match="moment pass at the starting multipliers") as err:
-        _solve((X, X2), targets, REAL_LINE)
+        _solve((X, X2, X4), targets, REAL_LINE)
     assert type(err.value) is qb.SolverError
     assert isinstance(err.value.__cause__, qb.QuadratureError)
     assert "levels 10 and 11 disagree" in str(err.value)
+
+
+# A moment pass refused these three at their exact start (DE levels 10 and
+# 11 disagree on the narrow peak); the closed form needs none, and the
+# re-check certifies it.
+@pytest.mark.parametrize("k1,k2", [(0.0, 1e-6), (1.0, 1.0 + 1e-6), (0.0, 1e-10)])
+def test_narrow_gaussians_are_fitted_in_closed_form(k1, k2):
+    _check_gaussian_fit(_solve((X, X2), (k1, k2), REAL_LINE), k1, k2)
