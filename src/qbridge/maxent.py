@@ -12,9 +12,9 @@ is in closed form), and a pass that fails at the starting multipliers is
 reported as such.  One vectorized adaptive Gauss-Kronrod pass then
 re-checks the normalization and every moment of the solution, split at the
 density's modes, each tail mapped at the density's own width.  Targets
-outside the moment set end at a dual
-certificate: multipliers lam with lam.K below the infimum of lam.h over
-the domain, found inside the moment pass and raised as FeasibilityError.
+outside the moment set end at a dual certificate: multipliers lam with
+lam.K below the infimum of lam.h over the domain, found inside the moment
+pass and raised as FeasibilityError.
 The Tsallis solution keeps the same multipliers and only renormalizes, on
 the support bounded by the roots of its margin polynomial: the
 transformation carries them over unchanged.  `shannon_partner` builds the
@@ -501,8 +501,9 @@ def _newton_start(constraints: tuple[ConstraintFn, ...], targets: tuple[float, .
             if start is not None:
                 return start, None
             start = np.array([(0.0 - k1) / v, 0.5 / v] + [_QUARTIC_START / (v * v)] * quartic)
-            return start, (None if quartic
-                           else 0.5 * math.log(2.0 * math.pi * v) + k1 * k1 / (2.0 * v))
+            if quartic:
+                return start, None
+            return start, 0.5 * math.log(2.0 * math.pi * v) + k1 * k1 / (2.0 * v)
         return np.array([-2.0 * k1, 1.0] + [0.0] * quartic), None
     return np.array([1.0 / (1.0 + abs(k)) for k in targets]), None
 

@@ -181,14 +181,6 @@ def test_width_is_where_the_largest_taylor_term_reaches_one(coefficients, x, wid
     assert cs.width(x) == pytest.approx(width, rel=1e-15)
 
 
-def test_a_subnormal_mean_fits_the_gaussian():
-    # the x multiplier -5e-324 has no finite width; x^2's sets the scale
-    cs = ConstraintSet((X, X2), (1.0, 1.0), targets=(5e-324, 1.0))
-    s = qb.solve_shannon(cs, REAL_LINE, QuadratureSpec())
-    assert s.cs.multipliers == pytest.approx((0.0, 0.5), abs=1e-300)
-    assert s.mu == pytest.approx(0.5 * math.log(2.0 * math.pi), rel=1e-15)
-
-
 POWERS = {1: X, 2: X2, 4: X4}
 
 
