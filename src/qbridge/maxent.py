@@ -212,11 +212,10 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
 
     All three come from one vectorized pass of the nested double-exponential
     rule over nodes x_k and the matrix H[i, k] = h_i(x_k), both built once
-    per process (`de_rule`, and `_moment_matrices`, which holds [1; H],
-    |[1; H]| and the even-node columns of [1; H]): three products with the
-    weights give Z and every Z E[h_i], their scales and their coarse-level
-    sums.  The weights are shifted by min_k lam.h(x_k), so log Z is formed
-    in log space.  A pass
+    per process (`de_rule`, and `_moment_rows`, which holds [1; H]): one
+    product of the weights with [1; H] gives Z and every Z E[h_i] with
+    their coarse-level sums, scales and end terms.  The weights are
+    shifted by min_k lam.h(x_k), so log Z is formed in log space.  A pass
     starts at that finest level and refines until it and the level below
     it (its even nodes) agree to `quad`'s tolerances; it raises
     QuadratureError when they never do, or when the weight at the
@@ -235,7 +234,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
         for level in range(finest[0], DE_MAX_LEVEL + 1):
             finest[0] = level
             w = de_rule(domain, level)[1]
-            R, A, even = _moment_matrices(constraints, domain, level)
+            R = _moment_rows(constraints, domain, level)
             H = R[1:]
             # inf and nan from overflow at the outer nodes are checked below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -250,9 +249,11 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
                 np.subtract(shift, f, out=f)
                 np.exp(f, out=f)
                 f *= w
-                # row 0 gives Z, row i Z E[h_i]; the weight f is positive
-                sums, scale, coarse = R @ f, A @ f, 2.0 * (even @ f[::2])
-                ends = np.maximum(A[:, 0] * f[0], A[:, -1] * f[-1])
+                # rows of [1; H] times the weight: row 0 gives Z, row i Z E[h_i]
+                rows = R * f
+                sums, coarse = rows.sum(axis=1), 2.0 * rows[:, ::2].sum(axis=1)
+                scale = np.abs(rows, out=rows).sum(axis=1)
+                ends = np.maximum(rows[:, 0], rows[:, -1])
                 z, mean = sums[0], sums[1:] / sums[0]
             if not np.isfinite(mean).all():
                 raise QuadratureError(f"moments overflow on the nodes for lam = {lam.tolist()}")
@@ -262,7 +263,7 @@ def _moment_functions(constraints: tuple[ConstraintFn, ...],
             if (abs(z - coarse[0]) <= quad.rel_tol * z
                     and (np.abs(mean - coarse[1:] / coarse[0])
                          <= np.maximum(quad.abs_tol, quad.rel_tol * scale[1:] / z)).all()):
-                d = H - mean[:, None]
+                d = np.subtract(H, mean[:, None], out=rows[1:])
                 cov = (d * f) @ d.T / z
                 return mean, math.log(z) - shift, cov
         raise QuadratureError(
@@ -286,18 +287,6 @@ def _moment_rows(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
         rows = np.array([np.ones_like(x)] + [c.value(x) for c in constraints])
     rows.flags.writeable = False
     return rows
-
-
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _moment_matrices(constraints: tuple[ConstraintFn, ...], domain: SupportInterval,
-                     level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_moment_rows`, its absolute value and its even-node columns (the
-    nodes of the level below), each read-only and cached as it is: the
-    moment pass's three products with the weights."""
-    rows = _moment_rows(constraints, domain, level)
-    absolute, even = np.abs(rows), np.ascontiguousarray(rows[:, ::2])
-    absolute.flags.writeable = even.flags.writeable = False
-    return rows, absolute, even
 
 
 def _bisection_fallback(constraint: ConstraintFn, target: float,

@@ -192,16 +192,16 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
 
 def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
                    pieces: Sequence[SupportInterval], spec: QuadratureSpec,
-                   width: Callable[[float], float] | None = None) -> np.ndarray:
+                   width: Callable[[float], float]) -> np.ndarray:
     """Integrals over the union of `pieces` of the rows of f, which maps a
     1-D array of n nodes to an (m, n) array: m integrands on shared nodes.
 
     One adaptive Gauss-Kronrod (G10K21) pass refines all pieces together.
     An infinite side from a finite end a uses QUADPACK's map scaled by the
     side's width s = width(a): x = a +- s (1-t)/t, dx = s dt/t^2 on
-    t in (0, 1].  Without `width`, s = 1, QUADPACK's own map; with the
-    scale on which the rows decay, the first round's 16 sub-intervals fit
-    a tail of any scale.  A piece infinite at both ends is split at 0
+    t in (0, 1] (s = 1 is QUADPACK's own map); with the scale on which the
+    rows decay, the first round's 16 sub-intervals fit a tail of any
+    scale.  A piece infinite at both ends is split at 0
     first.  Each piece starts at 16 equal sub-intervals, and a
     sub-interval's share of the tolerance is its fraction of its piece
     over the number of pieces.  A round bisects every sub-interval whose
@@ -214,7 +214,7 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
     does not decay toward an infinite end, or is not smooth enough).
     """
     def side(direction: float, origin: float) -> tuple[float, float, float, float]:
-        return 0.0, 1.0, direction * (1.0 if width is None else width(origin)), origin
+        return 0.0, 1.0, direction * width(origin), origin
 
     spans = []      # (t0, t1, end, origin) of each span, as _gk21 reads them
     for part in pieces:

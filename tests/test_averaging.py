@@ -281,6 +281,20 @@ def test_escort_normalizer_is_the_dual_normalization(q, lam):
 @example(q=1.45, lam=0.1)
 @example(q=1e-3, lam=10.0)
 def test_half_line_averages_match_their_closed_forms(q, lam):
+    _check_half_line_closed_forms(q, lam)
+
+
+# The band the property leaves out: there C and the means are about |q - 1|
+# off their closed forms, above the 1e-10 rel_tol they are computed to.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="q within EPS_Q1 of 1 evaluates e_q at q = 1 but the "
+                          "escort power at q; C is ~5e-10 and the means ~1e-9 off")
+@pytest.mark.parametrize("lam", [0.1, 10.0])
+def test_half_line_averages_just_above_q_one_match_their_closed_forms(lam):
+    _check_half_line_closed_forms(1.0 + 5e-10, lam)
+
+
+def _check_half_line_closed_forms(q, lam):
     quad = qb.QuadratureSpec()
     t = qb.normalize_tsallis(q, identity_cs(lam), quad, domain=HALF_LINE)
     c = (2.0 - q) * lam

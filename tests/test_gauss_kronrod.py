@@ -50,6 +50,11 @@ def _shifted(coeffs, lo, hi):
     return (coeffs[0] - low, *coeffs[1:])
 
 
+def _width(coeffs):
+    """The re-check's tail width for exp(-P): that of P as a lam.h."""
+    return ConstraintSet((ConstraintFn(tuple(coeffs)),), (1.0,)).width
+
+
 def _check_rows(coeffs, lo, hi):
     coeffs = _shifted(coeffs, lo, hi)
     pieces = _pieces(coeffs, lo, hi)
@@ -58,7 +63,7 @@ def _check_rows(coeffs, lo, hi):
         p = np.exp(-npoly.polyval(x, coeffs))
         return np.array([p, p * x, p * x * x])
 
-    got = integrate_rows(rows, pieces, CHECK)
+    got = integrate_rows(rows, pieces, CHECK, _width(coeffs))
     for k in range(3):
         def row(u, k=k):
             return math.exp(-npoly.polyval(u, coeffs)) * u ** k
@@ -107,7 +112,7 @@ def test_rows_match_scipy_quad(case):
 @pytest.mark.parametrize("lam", [1e-4, 1e3, 1.0 / 3.328611156682118])
 def test_exponential_rows_match_the_closed_form(lam):
     got = integrate_rows(lambda x: np.exp(-lam * x) * np.array([np.ones_like(x), x, x * x]),
-                         [HALF_LINE], CHECK)
+                         [HALF_LINE], CHECK, _width((0.0, lam)))
     assert got.tolist() == pytest.approx([1.0 / lam, 1.0 / lam ** 2, 2.0 / lam ** 3], rel=1e-13)
 
 
@@ -118,14 +123,14 @@ def test_exponential_rows_match_the_closed_form(lam):
 ])
 def test_non_finite_or_non_decaying_rows_raise(f):
     with pytest.raises(qb.QuadratureError):
-        integrate_rows(f, [HALF_LINE], CHECK)
+        integrate_rows(f, [HALF_LINE], CHECK, lambda a: 1.0)
 
 
 def test_budget_is_max_subdivisions_per_piece():
     spec = QuadratureSpec(max_subdivisions=16)   # the first round only
     with pytest.raises(qb.QuadratureError, match="did not converge") as err:
         integrate_rows(lambda x: np.abs(x - 0.3)[None] ** 0.5, [SupportInterval(0.0, 1.0)],
-                       spec)
+                       spec, lambda a: 1.0)
     assert err.value.estimate == pytest.approx(0.3 ** 1.5 / 1.5 + 0.7 ** 1.5 / 1.5, rel=1e-3)
 
 
