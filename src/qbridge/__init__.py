@@ -2,7 +2,6 @@
 
 from .averaging import (
     EscortWeight,
-    Observable,
     escort_norm,
     mean_ct,
     mean_linear,

@@ -6,31 +6,33 @@ Three ways of averaging an observable A against a density p:
     CT       <A>_q = int p^q A          (un-normalized for q != 1)
     TMP      <A>_q = int (p^q / X_q) A  with X_q = int p^q
 
-All of them come from one pass per (p, A, q, quad): `integrate_de_rows`
-integrates the rows [p A, p^q A, p^q] on the nested double-exponential
-rule, evaluating `p.density` and `A.value` once per node set, so they
-receive a numpy array of nodes and return an array of values (a float,
-such as a constant, broadcasts).  The pass is kept in a bounded cache,
-and the four functions are thin wrappers that read it: `mean_linear`
-reads the pass at p's own q (a one-row pass for a density without one),
-`escort_norm` the p^q row of the latest pass on the same (p, q, quad) (or
-a one-row pass of its own), and `mean_tmp` is mean_ct / X_q, with no
-integral of its own, so TMP = CT / X_q holds exactly.  p and A are cache
-keys: they must be hashable, and A's values must not change.
+The observable is a polynomial, a `ConstraintFn`: its coefficients are
+its value and its degree, and equal observables are one cache key.
+All of the averages come from one pass per (p, A, q, quad):
+`integrate_de_rows` integrates the rows [p A, p^q A, p^q] on the nested
+double-exponential rule, evaluating `p.density` and `A.value` once per
+node set, so they receive a numpy array of nodes and return an array of
+values.  The pass is kept in a bounded cache, and the four functions are
+thin wrappers that read it: `mean_linear` reads the pass at p's own q (a
+one-row pass for a density without one), `escort_norm` the p^q row of the
+latest pass on the same (p, q, quad) (or a one-row pass of its own), and
+`mean_tmp` is mean_ct / X_q, with no integral of its own, so TMP = CT /
+X_q holds exactly.  p must be hashable.
 
 A row the rule cannot certify (a tail too heavy for its range, as for the
 mean at q = 1.49 with h = x) goes to QUADPACK's `integrate` alone, with
 its own scalar integrand, only when its wrapper asks for it; there
 `p.density` and `A.value` receive one float at a time and return a float.
 
-Each wrapper first screens its tails analytically, as normalization does:
-a q-exponential density with q > 1 decays like |x|^{-d/(q-1)} toward an
-infinite end, d the degree of lam.h, so p^s A with A of degree k decays
-like |x|^{k - s d/(q-1)}, and its integral diverges when s d/(q-1) - k
-<= 1.  That raises NonIntegrableError carrying s d/(q-1) - k as
-`tail_exponent`, where a quadrature would return a wrong finite value or
-fail to converge.  A row that fails its screen is left out of the pass.
-An Observable of unknown degree is not screened.
+Each wrapper first decides analytically whether its integral int p^s A
+(s = 1 or q) converges, by the rule normalization uses too,
+`ConstraintSet.divergence`: toward an infinite end of p's support
+p^s A decays like |x|^-(s d/(q-1) - deg A), d the degree of lam.h, and at
+a finite root of phi it grows like dist^-(s/(q-1)).  A divergent integral
+raises NonIntegrableError carrying that exponent as `tail_exponent`,
+where a quadrature would return a wrong finite value or fail to converge,
+and its row is left out of the pass.  A density without `q` and `cs` is
+not screened.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from . import quadrature
 from .errors import NonIntegrableError, QuadratureError
 from .qkernel import QIndex, as_qindex
 from .quadrature import RULE_CACHE_SIZE, QuadratureSpec
+from .transform import ConstraintFn
 
 __all__ = [
-    "Observable",
     "EscortWeight",
     "mean_linear",
     "escort_norm",
@@ -56,32 +58,14 @@ __all__ = [
     "mean_tmp",
 ]
 
-
-@dataclass(frozen=True)
-class Observable:
-    """A labelled measurable quantity A(x)."""
-
-    evaluator: Callable[[float], float]
-    label: str = "A"
-    degree: int | None = None   # polynomial degree of A, for the tail screen
-
-    @classmethod
-    def identity(cls) -> "Observable":
-        return cls(lambda x: x, "x", 1)
-
-    @classmethod
-    def square(cls) -> "Observable":
-        return cls(lambda x: x * x, "x^2", 2)
-
-    def value(self, x: float) -> float:
-        return self.evaluator(x)
+# The benchmark's worker (bench/worker.py) still calls Observable.identity().
+Observable = ConstraintFn
 
 
 @dataclass(frozen=True)
 class EscortWeight:
     """Escort normalizer X_q = int p(x)^q dx."""
 
-    q: QIndex
     x_q: float
 
     def __post_init__(self):
@@ -90,35 +74,25 @@ class EscortWeight:
                                      f"finite, got {self.x_q!r}")
 
 
-def _divergence(p, power: float, degree: int | None) -> float | None:
-    """The tail exponent s d/(q-1) - k when int p^power A diverges toward
-    an infinite end of p's support, A of polynomial degree `degree`; else
-    None.
-
-    Only a q-exponential density with q > 1 (one with `q` and `cs`) has a
-    power-law tail; any other density, or an A of unknown degree, passes.
-    """
+def _diverges(p, power: float, degree: int) -> tuple[float | None, str] | None:
+    """`ConstraintSet.divergence` of int p^power A, A of degree `degree`,
+    for a q-exponential density (one with `q` and `cs`); None for any
+    other density."""
     qi = getattr(p, "q", None)
-    if degree is None or qi is None or qi.q <= 1.0 or qi.is_classical():
-        return None
-    if math.isfinite(p.support.lower) and math.isfinite(p.support.upper):
-        return None
-    exponent = power * p.cs.degree / (qi.q - 1.0) - degree
-    return exponent if exponent <= 1.0 else None
+    return None if qi is None else p.cs.divergence(qi, p.support, power, degree)
 
 
-def _screen_tails(p, power: float, degree: int | None, what: str) -> None:
-    """Raise NonIntegrableError when int p^power A diverges (`_divergence`)."""
-    exponent = _divergence(p, power, degree)
-    if exponent is not None:
-        raise NonIntegrableError(
-            f"{what} diverges at q = {p.q.q!r}: the integrand decays like |x|^-{exponent!r} "
-            f"toward an infinite end of the support, and {exponent!r} <= 1",
-            tail_exponent=exponent)
+def _screen_tails(p, power: float, degree: int, what: str) -> None:
+    """Raise NonIntegrableError when int p^power A diverges (`_diverges`)."""
+    found = _diverges(p, power, degree)
+    if found is not None:
+        exponent, why = found
+        raise NonIntegrableError(f"{what} diverges for p at q = {p.q.q!r} raised to "
+                                 f"{power!r}: the integrand {why}", tail_exponent=exponent)
 
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
-def _pass(p, a: Observable | None, q: QIndex | None,
+def _pass(p, a: ConstraintFn | None, q: QIndex | None,
           quad: QuadratureSpec) -> tuple[float | None, float | None, float | None]:
     """(int p A, int p^q A, int p^q) from one `integrate_de_rows` pass.
 
@@ -127,9 +101,9 @@ def _pass(p, a: Observable | None, q: QIndex | None,
     where its row is left out or the rule cannot certify it.  Each pass is
     kept in a cache of at most RULE_CACHE_SIZE passes, as the rules are.
     """
-    linear = a is not None and _divergence(p, 1.0, a.degree) is None
-    ct = a is not None and q is not None and _divergence(p, q.q, a.degree) is None
-    escort = q is not None and _divergence(p, q.q, 0) is None
+    linear = a is not None and _diverges(p, 1.0, a.degree) is None
+    ct = a is not None and q is not None and _diverges(p, q.q, a.degree) is None
+    escort = q is not None and _diverges(p, q.q, 0) is None
     wanted = (linear, ct, escort)
 
     def rows(x: np.ndarray) -> np.ndarray:
@@ -149,7 +123,7 @@ def _pass(p, a: Observable | None, q: QIndex | None,
 _latest: list = [None, None]
 
 
-def _read(p, a: Observable | None, q: QIndex | None, quad: QuadratureSpec):
+def _read(p, a: ConstraintFn | None, q: QIndex | None, quad: QuadratureSpec):
     """The cached pass for (p, a, q, quad), noted as the latest one."""
     found = _pass(p, a, q, quad)
     _latest[:] = (p, q, quad), found
@@ -162,9 +136,9 @@ def _certified(value: float | None, f: Callable, p, quad: QuadratureSpec) -> flo
     return value if value is not None else quadrature.integrate(f, p.support, quad)
 
 
-def mean_linear(p, a: Observable, quad: QuadratureSpec) -> float:
+def mean_linear(p, a: ConstraintFn, quad: QuadratureSpec) -> float:
     """Ordinary expectation int p A over the density's support."""
-    _screen_tails(p, 1.0, a.degree, f"the mean of {a.label}")
+    _screen_tails(p, 1.0, a.degree, f"the mean of A = {list(a.coefficients)!r}")
     linear = _read(p, a, getattr(p, "q", None), quad)[0]
     return _certified(linear, lambda x: p.density(x) * a.value(x), p, quad)
 
@@ -181,19 +155,19 @@ def escort_norm(p, q: QIndex | float, quad: QuadratureSpec) -> EscortWeight:
     except QuadratureError as exc:
         raise NonIntegrableError(
             f"escort integral did not converge for q = {qi.q!r}: {exc}") from exc
-    return EscortWeight(q=qi, x_q=x_q)
+    return EscortWeight(x_q)
 
 
-def mean_ct(p, a: Observable, q: QIndex | float, quad: QuadratureSpec) -> float:
+def mean_ct(p, a: ConstraintFn, q: QIndex | float, quad: QuadratureSpec) -> float:
     """Curado-Tsallis weighted expectation int p^q A (un-normalized:
     its value at A = 1 is X_q, not 1)."""
     qi = as_qindex(q)
-    _screen_tails(p, qi.q, a.degree, f"the Curado-Tsallis mean of {a.label}")
+    _screen_tails(p, qi.q, a.degree, f"the Curado-Tsallis mean of A = {list(a.coefficients)!r}")
     ct = _read(p, a, qi, quad)[1]
     return _certified(ct, lambda x: p.density(x) ** qi.q * a.value(x), p, quad)
 
 
-def mean_tmp(p, a: Observable, q: QIndex | float, quad: QuadratureSpec) -> float:
+def mean_tmp(p, a: ConstraintFn, q: QIndex | float, quad: QuadratureSpec) -> float:
     """TMP (escort-normalized) expectation: mean_ct / X_q, both read from
     the same pass."""
     qi = as_qindex(q)

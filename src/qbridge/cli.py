@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .averaging import Observable, escort_norm, mean_ct, mean_linear, mean_tmp
+from .averaging import escort_norm, mean_ct, mean_linear, mean_tmp
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -160,6 +160,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown format {self.format!r}")
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed!r}")
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
@@ -333,8 +335,7 @@ def _build_problem(cfg: RunConfig):
                          anchor_u=cfg.anchor[1], quad=quad)
     map_ = TransformMap.from_spec(spec)
     tsallis = normalize_tsallis(spec.q, cs, quad,
-                                domain=cfg.domain_interval(),
-                                anchor=cfg.anchor[0], support=map_.support)
+                                domain=cfg.domain_interval(), anchor=cfg.anchor[0])
     return spec, map_, tsallis
 
 
@@ -416,9 +417,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         checks.append({"name": name, "max_residual": value, "tol": tol,
                        "passed": bool(value < tol)})
 
-    canonical_spec = spec if spec.c == 0.0 else TransformSpec(
-        qi, spec.cs, c=0.0, anchor_x=spec.anchor_x, anchor_u=spec.anchor_u,
-        quad=spec.quad)
+    canonical_spec = spec.canonical()
     # one map holds the support and u-image, so x(u) does not recompute them
     canonical_map = map_ if spec.c == 0.0 else TransformMap.from_spec(canonical_spec)
     slope_scale = -(1.0 - qi.q) / (2.0 - qi.q)
@@ -488,10 +487,9 @@ def cmd_averages(cfg: RunConfig) -> int:
     quad = cfg.quad()
     cs = cfg.constraint_set()
     qi = QIndex(cfg.q)
+    observable = parse_kind(cfg.observable)
     tsallis = normalize_tsallis(qi, cs, quad, domain=cfg.domain_interval(),
                                 anchor=cfg.anchor[0])
-    kind = parse_kind(cfg.observable)
-    observable = Observable(kind.value, cfg.observable, kind.degree)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "averages",

@@ -588,64 +588,27 @@ def _check_shannon_invariants(s: ShannonSolution, quad: QuadratureSpec) -> None:
             raise SolverError(f"moment check failed: got {moment!r}, want {k!r}")
 
 
-def _tail_feasibility(qi: QIndex, cs: ConstraintSet,
-                      support: SupportInterval) -> None:
-    """Analytic divergence screen for unbounded support sides."""
-    for side, direction, unbounded in (("+inf", 1.0, math.isinf(support.upper)),
-                                       ("-inf", -1.0, math.isinf(support.lower))):
-        if not unbounded:
-            continue
-        if cs.degree == 0:
-            raise NonNormalizableError(
-                "constant observable gives a non-decaying density on an "
-                "unbounded domain")
-        grows = cs.end_sign(direction) > 0
-        if qi.is_classical():
-            if not grows:
-                raise NonNormalizableError(
-                    f"density grows toward {side}: observable tends to -inf there")
-        elif qi.q < 1.0:
-            raise NonNormalizableError(
-                f"q = {qi.q!r} < 1 density cannot decay on an unbounded side "
-                f"({side}); the cutoff never engages there")
-        else:
-            if not grows:
-                raise NonNormalizableError(
-                    f"q-exponential has a pole toward {side}")
-            alpha = cs.degree / (qi.q - 1.0)
-            if alpha <= 1.0:
-                raise NonNormalizableError(
-                    f"power-law tail exponent {alpha!r} <= 1 toward {side}: "
-                    f"normalization integral diverges", tail_exponent=alpha)
-
-
 def normalize_tsallis(q: QIndex | float, cs: ConstraintSet,
                       quad: QuadratureSpec,
                       domain: SupportInterval | None = None,
-                      anchor: float = 0.0, *,
-                      support: SupportInterval | None = None) -> TsallisSolution:
-    """Normalize C e_q(-dot(lam, h(x))) on the cutoff support.
+                      anchor: float = 0.0) -> TsallisSolution:
+    """Normalize C e_q(-dot(lam, h(x))) on the cutoff support around `anchor`.
 
     Multipliers are taken verbatim from `cs`; only the normalization
     constant is computed.  `domain` optionally restricts the support
-    (e.g. a half-line for mean constraints).  `support` is the cutoff
-    support around `anchor` when the caller already holds it (as
-    `TransformMap.support` does); otherwise it is computed here.
+    (e.g. a half-line for mean constraints).  Raises NonNormalizableError
+    before any quadrature where `cs.divergence` finds the integral
+    divergent, the rule the averages use too.
     """
     qi = as_qindex(q)
-    if support is None:
-        support = qexp_support(qi, cs, anchor=anchor)
+    support = qexp_support(qi, cs, anchor=anchor)
     if domain is not None:
         support = support.intersect(domain)
-    _tail_feasibility(qi, cs, support)
-    if qi.q > 1.0 and not qi.is_classical():
-        for endpoint in (support.lower, support.upper):
-            if math.isfinite(endpoint) and qi.q <= 2.0 and \
-                    cs.margin(qi.q, endpoint) <= 1e-12:
-                raise NonNormalizableError(
-                    f"pole-side edge at x = {endpoint!r} with exponent "
-                    f"{1.0 / (qi.q - 1.0)!r} >= 1: integral diverges",
-                    tail_exponent=1.0 / (qi.q - 1.0))
+    found = cs.divergence(qi, support)
+    if found is not None:
+        exponent, why = found
+        raise NonNormalizableError(f"the normalization integral diverges at q = {qi.q!r}: "
+                                   f"the integrand {why}", tail_exponent=exponent)
 
     shape = TsallisSolution(C=1.0, q=qi, cs=cs, support=support)
     z = integrate_de(shape.density, support, quad)

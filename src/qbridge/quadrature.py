@@ -180,9 +180,9 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
     t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES
     mapped = (end != 0.0)[:, None]
     s = np.where(mapped, t, 1.0)          # no 1/t on the finite pieces
-    x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
-    w = np.where(mapped, np.abs(end)[:, None], 1.0) * half[:, None] / np.where(mapped, s * s, 1.0)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):       # a node or weight that overflows is caught below
+        x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
+        w = np.where(mapped, np.abs(end)[:, None], 1.0) * half[:, None] / np.where(mapped, s * s, 1.0)
         values = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape) * w
     if not np.isfinite(values).all():
         raise QuadratureError("integrand is not finite on the Gauss-Kronrod nodes")

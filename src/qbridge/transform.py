@@ -26,7 +26,7 @@ the support edges end u's image, and x(u) is bracketed between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -86,12 +86,16 @@ def _derivative(coeffs: Sequence[float]) -> list[float]:
 @dataclass(frozen=True)
 class ConstraintFn:
     """Observable h(x), the polynomial with ascending `coefficients`;
-    trailing zeros are dropped, so (0, 1, 0) is the identity."""
+    trailing zeros are dropped, so (0, 1, 0) is the identity.  It serves
+    as a constraint of ConstraintSet and as the observable A of the
+    averages alike."""
 
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
         coeffs = [float(c) for c in self.coefficients]
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ConfigurationError(f"polynomial coefficients must be finite, got {coeffs!r}")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -123,7 +127,8 @@ class ConstraintFn:
 class ConstraintSet:
     """Observables h_i with multipliers lam_i and optional targets K_i; the
     one owner of the polynomial lam.h, of its degree, end signs, slope,
-    critical points and margin phi = 1 - (1-q) lam.h."""
+    critical points and margin phi = 1 - (1-q) lam.h, and so of the rule
+    that says where an integral of its q-exponential diverges."""
 
     constraints: tuple[ConstraintFn, ...]
     multipliers: tuple[float, ...]
@@ -145,6 +150,8 @@ class ConstraintSet:
             raise ConfigurationError("constraints and targets length mismatch")
         if not all(math.isfinite(v) for v in self.multipliers):
             raise ConfigurationError("multipliers must be finite")
+        if self.targets is not None and not all(math.isfinite(t) for t in self.targets):
+            raise ConfigurationError(f"targets must be finite, got {list(self.targets)!r}")
 
     @property
     def size(self) -> int:
@@ -218,6 +225,39 @@ class ConstraintSet:
         coeffs = self.combined_coefficients()
         if len(coeffs) == 2 and coeffs[0] == 0.0 and coeffs[1] != 0.0:
             return coeffs[1]
+        return None
+
+    def divergence(self, q: QIndex, support: SupportInterval, power: float = 1.0,
+                   degree: int = 0) -> tuple[float | None, str] | None:
+        """Whether int p^power A over `support` diverges, for p = C e_q(-lam.h)
+        and A a polynomial of degree `degree`: None where it converges, else
+        the tail exponent and how the integrand behaves there.
+
+        Toward an infinite end (q != 1) phi grows like |x|^d, d the degree
+        of lam.h, so the integrand decays like |x|^-e with e = power d/(q-1)
+        - degree, and diverges when e <= 1; that holds for q < 1 and for a
+        constant lam.h too, where e <= 0.  At a finite root of phi (taken as
+        simple, as a support edge is) it grows like dist^-f with
+        f = power/(q-1), and diverges when f >= 1.  At q = 1 there is no
+        root, and the integrand decays toward an infinite end exactly when
+        power lam.h grows there; the exponent is then None.  A finite end is
+        a root of phi where phi <= 1e-12 there.
+        """
+        classical = q.is_classical()
+        for end, direction in ((support.lower, -1.0), (support.upper, 1.0)):
+            side = "+inf" if direction > 0.0 else "-inf"
+            if math.isinf(end) and classical:
+                if not power * self.end_sign(direction) > 0.0:
+                    return None, f"does not decay toward {side}"
+            elif math.isinf(end):
+                e = power * self.degree / (q.q - 1.0) - degree
+                if e <= 1.0:
+                    return e, f"decays like |x|^-e toward {side} with e = {e!r} <= 1"
+            elif not classical:
+                f = power / (q.q - 1.0)
+                if f >= 1.0 and self.margin(q.q, end) <= 1e-12:
+                    return f, (f"grows like dist^-f toward the support edge x = {end!r}, "
+                               f"a root of phi, with f = {f!r} >= 1")
         return None
 
 
@@ -359,6 +399,15 @@ class TransformSpec:
     @cached_property
     def _support(self) -> SupportInterval:
         return qexp_support(self.q, self.cs, anchor=self.anchor_x)
+
+    def canonical(self) -> "TransformSpec":
+        """This spec with c = 0.  The support does not depend on c, so the
+        canonical spec takes this one's instead of computing it again."""
+        if self.c == 0.0:
+            return self
+        spec = replace(self, c=0.0)
+        spec.__dict__["_support"] = self._support
+        return spec
 
     @cached_property
     def _zeros(self) -> tuple[float, float]:

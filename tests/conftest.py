@@ -36,5 +36,5 @@ def interior_grid(q, cs, n=100, clip=5.0, margin=0.02):
 def matched_solutions(q, cs, domain, quadspec):
     """Tsallis solution plus the Shannon solution on the image domain."""
     map_ = qb.TransformMap.from_spec(qb.TransformSpec(qb.QIndex(q), cs))
-    tsallis = qb.normalize_tsallis(q, cs, quadspec, domain=domain, support=map_.support)
+    tsallis = qb.normalize_tsallis(q, cs, quadspec, domain=domain)
     return tsallis, qb.shannon_partner(tsallis, map_, quadspec), map_

@@ -16,7 +16,6 @@ import qbridge as qb
 from qbridge import (
     ConstraintFn,
     ConstraintSet,
-    Observable,
     QIndex,
     TransformSpec,
 )
@@ -225,8 +224,8 @@ def test_criterion_8_monte_carlo_confirmation():
 
 
 def test_criterion_9_averaging_identities():
-    one = Observable(lambda x: 1.0, "1")
-    x_obs = Observable.identity()
+    one = ConstraintFn((1.0,))
+    x_obs = ConstraintFn.identity()
     p = qb.normalize_tsallis(0.5, identity_cs(), QUAD, domain=HALF_LINE)
     tmp_one = qb.mean_tmp(p, one, 0.5, QUAD)
     tmp = qb.mean_tmp(p, x_obs, 0.5, QUAD)

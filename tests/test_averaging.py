@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 import qbridge as qb
 import qbridge.averaging as A
 import qbridge.quadrature as Q
-from qbridge import Observable, SupportInterval
+from qbridge import ConstraintFn, SupportInterval
 
 from conftest import HALF_LINE, identity_cs
 from oracles import SupportedDensity
 
-ONE = Observable(lambda x: 1.0, "1")
-X = Observable.identity()
+ONE = ConstraintFn((1.0,))
+X = ConstraintFn.identity()
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ def test_escort_norm_cutoff_fixture(cutoff_density, quad):
 
 
 def test_ct_mean_reduces_to_linear(cutoff_density, quad):
-    a = Observable(lambda x: x * x - 0.3 * x, "mix")
+    a = ConstraintFn((0.0, -0.3, 1.0))
     assert qb.mean_ct(cutoff_density, a, 1.0, quad) == pytest.approx(
         qb.mean_linear(cutoff_density, a, quad), rel=1e-12)
 
@@ -95,7 +95,7 @@ def test_tmp_equals_ct_over_escort_on_shared_nodes(quad):
         p = qb.normalize_tsallis(q_density, identity_cs(lam), quad,
                                  domain=HALF_LINE)
         coeffs = rng.uniform(-1.0, 1.0, size=3)
-        a = Observable(lambda x, c=coeffs: c[0] + c[1] * x + c[2] * x * x, "poly")
+        a = ConstraintFn(tuple(coeffs))
         q_avg = float(rng.uniform(0.3, 1.9))
         tmp = qb.mean_tmp(p, a, q_avg, quad)
         ct = qb.mean_ct(p, a, q_avg, quad)
@@ -104,7 +104,7 @@ def test_tmp_equals_ct_over_escort_on_shared_nodes(quad):
 
 
 def test_all_means_collapse_at_classical(exp_density, quad):
-    a = Observable(lambda x: np.sin(x) + x, "mixed")
+    a = ConstraintFn((0.0, 2.0, 0.0, -1.0 / 6.0))     # x + sin(x) to third order
     linear = qb.mean_linear(exp_density, a, quad)
     ct = qb.mean_ct(exp_density, a, 1.0, quad)
     tmp = qb.mean_tmp(exp_density, a, 1.0, quad)
@@ -149,6 +149,40 @@ def test_curado_tsallis_mean_diverges_with_the_escort_power(quad):
     assert err.value.tail_exponent == pytest.approx(0.8, rel=1e-15)
 
 
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+def test_averages_at_a_pole_edge_diverge_with_the_escort_power(quad, q):
+    # h = x on [-1, 0]: phi = 1 + (q-1) x has its root at -1/(q-1), where p
+    # grows like dist^(-1/(q-1)), integrable for q > 2, and p^q like
+    # dist^(-q/(q-1)), which is not; E[x] = -1/(2q - 3)
+    p = qb.normalize_tsallis(q, identity_cs(), quad, domain=SupportInterval(-1.0, 0.0))
+    assert qb.mean_linear(p, X, quad) == pytest.approx(-1.0 / (2.0 * q - 3.0), rel=1e-8)
+    for average in (lambda: qb.mean_ct(p, X, q, quad), lambda: qb.mean_tmp(p, X, q, quad),
+                    lambda: qb.escort_norm(p, q, quad)):
+        with pytest.raises(qb.NonIntegrableError) as err:
+            average()
+        assert err.value.tail_exponent == pytest.approx(q / (q - 1.0), rel=1e-15)
+
+
+def test_a_negative_escort_power_diverges_at_the_cutoff(cutoff_density, quad):
+    # p = 1.5 (1 - x/2)^2 on [0, 2): p^s grows like (2 - x)^(2s) at the cutoff
+    with pytest.raises(qb.NonIntegrableError) as err:
+        qb.escort_norm(cutoff_density, -0.5, quad)
+    assert err.value.tail_exponent == 1.0
+    # int p^-0.25 = 1.5^-0.25 int_0^2 (1 - x/2)^-0.5 dx = 4 1.5^-0.25
+    assert qb.escort_norm(cutoff_density, -0.25, quad).x_q == pytest.approx(
+        4.0 * 1.5 ** -0.25, rel=1e-10)
+
+
+# DE nodes within ~5.5e-17 of the pole edge x = -1/2 round onto it, where
+# phi = 0, and the integral loses the mass there, ~sqrt(1.1e-16).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the DE rule loses ~1e-8 of the mass at a q > 2 pole edge")
+def test_a_pole_edge_density_meets_its_tolerance(quad):
+    p = qb.normalize_tsallis(3.0, identity_cs(), quad, domain=SupportInterval(-1.0, 0.0))
+    assert p.C == pytest.approx(1.0, rel=1e-10)
+    assert qb.mean_linear(p, X, quad) == pytest.approx(-1.0 / 3.0, rel=1e-10)
+
+
 # ----------------------------------------------- one pass for every average
 
 def _count_de_passes(monkeypatch):
@@ -160,8 +194,9 @@ def _count_de_passes(monkeypatch):
 
 
 def test_normalization_and_four_averages_make_two_passes(monkeypatch, quad):
+    A._pass.cache_clear()       # equal observables share passes across tests
     calls = _count_de_passes(monkeypatch)
-    a = Observable(lambda x: x, "x", 1)     # a fresh key for the cache
+    a = ConstraintFn.identity()
     p = qb.normalize_tsallis(0.7, identity_cs(1.3), quad, domain=HALF_LINE)
     qb.mean_linear(p, a, quad)
     qb.mean_ct(p, a, 0.7, quad)
@@ -170,10 +205,21 @@ def test_normalization_and_four_averages_make_two_passes(monkeypatch, quad):
     assert calls == [1, 3]      # the normalization, then [p A, p^q A, p^q]
 
 
+def test_equal_observables_share_one_pass(monkeypatch, quad):
+    A._pass.cache_clear()
+    p = qb.normalize_tsallis(0.7, identity_cs(1.3), quad, domain=HALF_LINE)
+    calls = _count_de_passes(monkeypatch)
+    means = [qb.mean_linear(p, ConstraintFn.identity(), quad) for _ in range(3)]
+    assert calls == [3] and means[0] == means[1] == means[2]
+    # the name the benchmark's worker still calls is the same type
+    assert A.Observable is ConstraintFn and not hasattr(qb, "Observable")
+
+
 def test_a_heavy_mean_goes_to_quadpack_alone_each_time(monkeypatch, quad):
     # at q = 1.49 the rule cannot certify int x p; p^q A and p^q it can
     p = qb.normalize_tsallis(1.49, identity_cs(), quad, domain=HALF_LINE)
-    a = Observable(lambda x: x, "x", 1)
+    a = ConstraintFn.identity()
+    A._pass.cache_clear()
     passes, calls = _count_de_passes(monkeypatch), []
     real = Q.integrate
     monkeypatch.setattr(Q, "integrate", lambda f, *rest: calls.append(f) or real(f, *rest))
@@ -195,7 +241,9 @@ def _single_integrals(p, a, q, quad):
     """The averages as one integrate_de call each: the reference that the
     shared pass reproduces bit for bit."""
     def screened(power, degree, f):
-        A._screen_tails(p, power, degree, "an average")
+        found = p.cs.divergence(p.q, p.support, power, degree)
+        if found is not None:
+            raise qb.NonIntegrableError("an average diverges", tail_exponent=found[0])
         return Q.integrate_de(f, p.support, quad)
 
     def x_q():
@@ -203,7 +251,7 @@ def _single_integrals(p, a, q, quad):
             value = screened(q, 0, lambda x: p.density(x) ** q)
         except qb.QuadratureError as exc:
             raise qb.NonIntegrableError(str(exc)) from exc
-        return qb.averaging.EscortWeight(qb.QIndex(q), value).x_q
+        return qb.averaging.EscortWeight(value).x_q
 
     linear = _outcome(lambda: screened(1.0, a.degree, lambda x: p.density(x) * a.value(x)))
     ct = _outcome(lambda: screened(q, a.degree, lambda x: p.density(x) ** q * a.value(x)))
@@ -235,10 +283,7 @@ def test_each_average_matches_its_single_integral(q_density, q, lam, coeffs, deg
     if coeffs[-1] == 0.0:
         coeffs[-1] = 1.0
     c = tuple(coeffs)
-    if degree == 0:
-        a = Observable(lambda x: c[0], "const", 0)
-    else:
-        a = Observable(lambda x: sum(ck * x ** k for k, ck in enumerate(c)), "poly", degree)
+    a = ConstraintFn(c)
     quad = qb.QuadratureSpec()
     try:
         p = qb.normalize_tsallis(q_density, qb.ConstraintSet((h,), (lam,)), quad, domain=domain)
@@ -265,7 +310,7 @@ def test_escort_normalizer_is_the_dual_normalization(q, lam):
     quad = qb.QuadratureSpec()
     p = qb.normalize_tsallis(q, identity_cs(lam), quad, domain=HALF_LINE)
     dual = qb.normalize_tsallis(2.0 - 1.0 / q, identity_cs(q * lam), quad,
-                                domain=HALF_LINE, support=p.support)
+                                domain=HALF_LINE)
     assert qb.escort_norm(p, q, quad).x_q == pytest.approx(p.C ** q / dual.C, rel=1e-12)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,7 +482,7 @@ def test_transform_prints_the_rows_verify_transport_computes(capsys, h, domain, 
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
     cs = qb.ConstraintSet((qb.ConstraintFn.polynomial(h),), (1.0,))
     map_ = qb.TransformMap.from_spec(qb.TransformSpec(qb.QIndex(1.5), cs))
-    t = qb.normalize_tsallis(1.5, cs, qb.QuadratureSpec(), support=map_.support,
+    t = qb.normalize_tsallis(1.5, cs, qb.QuadratureSpec(),
                              domain=qb.SupportInterval(*map(float, domain.split(":"))))
     s = qb.shannon_partner(t, map_, qb.QuadratureSpec())
     report = qb.verify_transport(s, t, map_, [row[0] for row in rows], tol=1e-6)
@@ -508,8 +509,8 @@ def test_sample_builds_no_shannon_partner(capsys, monkeypatch):
 
 @pytest.mark.parametrize("q, domain", [(0.5, "0:inf"), (1.2, "-inf:inf")])
 def test_transform_without_a_grid_exits_two_before_normalizing(capsys, monkeypatch, q, domain):
-    # at q = 1.2 on the line the normalization fails ("pole-side edge", exit 3);
-    # the missing flag is found first
+    # at q = 1.2 on the line the normalization fails (p grows like dist^-5
+    # toward the root of phi at x = -5, exit 3); the missing flag is found first
     from qbridge import cli
 
     def refuse(*args, **kwargs):
@@ -519,3 +520,40 @@ def test_transform_without_a_grid_exits_two_before_normalizing(capsys, monkeypat
     code, out, err = run_main(capsys, "transform", "--q", str(q), *_ID, f"--domain={domain}")
     assert (code, out) == (2, "")
     assert "transform requires --grid" in err
+
+
+_SOLVE_ID = ("solve-shannon", "--q", "1", "--lambda", "1", "--domain", "0:inf")
+
+
+@pytest.mark.parametrize("args, message", [
+    # these exited 5 claiming "target nan is below every attainable moment",
+    # ended in a ValueError traceback, exited 5 with a false infeasibility
+    # claim, and exited 2 only at serialization after computing everything
+    ((*_SOLVE_ID, "--h", "identity", "--K", "nan"), "targets must be finite"),
+    ((*_SOLVE_ID, "--h", "identity", "--K", "inf"), "targets must be finite"),
+    ((*_SOLVE_ID, "--h", "poly:0,nan", "--K", "1"), "coefficients must be finite"),
+    (("averages", "--q", "0.5", *_ID, "--A", "poly:0,nan"), "coefficients must be finite"),
+    (("sample", "--q", "0.5", *_ID, "--seed", "-1"), "seed must be non-negative"),
+])
+def test_non_finite_inputs_and_a_negative_seed_exit_two(capsys, monkeypatch, args, message):
+    from qbridge import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before refusing the input")
+
+    for name in ("solve_shannon", "normalize_tsallis"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_main(capsys, *args)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_an_overflowing_gauss_kronrod_map_warns_nothing(capsys):
+    # lam = 1e-308 maps the re-check's tail at a width of 1e308, whose nodes
+    # and weights overflow: the re-check fails typed, and no numpy warning
+    # reaches stderr before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, *_SOLVE_ID, "--h", "identity", "--K", "1e308")
+    assert (code, out) == (5, "")
+    assert err.startswith("qbridge: the re-check of the closed-form fit") and err.count("\n") == 1

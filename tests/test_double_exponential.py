@@ -20,12 +20,12 @@ from scipy.integrate import quad as scipy_quad
 import qbridge as qb
 import qbridge.maxent as M
 import qbridge.quadrature as Q
-from qbridge import ConstraintFn, ConstraintSet, Observable, QuadratureSpec, SupportInterval
+from qbridge import ConstraintFn, ConstraintSet, QuadratureSpec, SupportInterval
 
 from conftest import HALF_LINE, REAL_LINE
 
 QUAD = QuadratureSpec()
-X = Observable.identity()
+X = ConstraintFn.identity()
 
 
 def _oracle(f, support):

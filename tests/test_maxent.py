@@ -182,24 +182,6 @@ def test_tsallis_normalization_under_tighter_quadrature(quad):
         assert abs(total - 1.0) < 10.0 * quad.rel_tol
 
 
-@pytest.mark.parametrize("q,cs,domain", [
-    (0.5, square_cs(), REAL_LINE),
-    (0.5, identity_cs(), HALF_LINE),      # the support (-inf, 2) is cut to [0, 2)
-    (1.5, identity_cs(), HALF_LINE),
-    (1.0, identity_cs(), HALF_LINE),
-])
-def test_tsallis_given_support_matches_computed(quad, monkeypatch, q, cs, domain):
-    import qbridge.maxent as maxent
-    expected = qb.normalize_tsallis(q, cs, quad, domain=domain)
-    map_ = TransformMap.from_spec(TransformSpec(QIndex(q), cs))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("qexp_support called although a support was given")
-
-    monkeypatch.setattr(maxent, "qexp_support", refuse)
-    assert qb.normalize_tsallis(q, cs, quad, domain=domain, support=map_.support) == expected
-
-
 def test_tsallis_pole_side_edge_rejected(quad):
     with pytest.raises(qb.NonNormalizableError):
         qb.normalize_tsallis(1.5, identity_cs(), quad,
@@ -254,7 +236,7 @@ def test_the_partner_keeps_a_closed_end_of_the_support(quad, q, domain):
     # the lower end of u's image for either orientation of the map, and the
     # partner's density there is the pushforward, not 0
     map_ = TransformMap.from_spec(TransformSpec(QIndex(q), identity_cs()))
-    t = qb.normalize_tsallis(q, identity_cs(), quad, domain=domain, support=map_.support)
+    t = qb.normalize_tsallis(q, identity_cs(), quad, domain=domain)
     s = qb.shannon_partner(t, map_, quad)
     assert (s.domain.lower, s.domain.upper) == (0.0, math.inf)
     assert s.domain.closed_lower and not s.domain.closed_upper
