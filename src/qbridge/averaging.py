@@ -8,11 +8,15 @@ Three ways of averaging an observable A against a density p:
 
 The observable is a polynomial, a `ConstraintFn`: its coefficients are
 its value and its degree, and equal observables are one cache key.
-All of the averages come from one pass per (p, A, q, quad):
-`integrate_de_rows` integrates the rows [p A, p^q A, p^q] on the nested
-double-exponential rule, evaluating `p.density` and `A.value` once per
-node set, so they receive a numpy array of nodes and return an array of
-values.  The pass is kept in a bounded cache, and the four functions are
+All of the averages come from one pass per (p, A, q, quad).  For a
+q-exponential density whose lam.h is linear, on a support from one
+finite end to a root of phi or to infinity, the pass is the closed form
+`ConstraintSet.linear_integral` of each row, with no quadrature.  For
+any other density `integrate_de_rows` integrates the rows
+[p A, p^q A, p^q] on the nested double-exponential rule, evaluating
+`p.density` and `A.value` once per node set, so they receive a numpy
+array of nodes and return an array of values.  The pass is kept in a
+bounded cache, and the four functions are
 thin wrappers that read it: `mean_linear` reads the pass at p's own q (a
 one-row pass for a density without one), `escort_norm` the p^q row of the
 latest pass on the same (p, q, quad) (or a one-row pass of its own), and
@@ -94,7 +98,8 @@ def _screen_tails(p, power: float, degree: int, what: str) -> None:
 @lru_cache(maxsize=RULE_CACHE_SIZE)
 def _pass(p, a: ConstraintFn | None, q: QIndex | None,
           quad: QuadratureSpec) -> tuple[float | None, float | None, float | None]:
-    """(int p A, int p^q A, int p^q) from one `integrate_de_rows` pass.
+    """(int p A, int p^q A, int p^q) in closed form (`_closed_forms`), or
+    from one `integrate_de_rows` pass.
 
     Without `a` the pass has only the p^q row, without `q` only the p A
     row.  A row whose tail screen fails is left out, and an entry is None
@@ -105,6 +110,9 @@ def _pass(p, a: ConstraintFn | None, q: QIndex | None,
     ct = a is not None and q is not None and _diverges(p, q.q, a.degree) is None
     escort = q is not None and _diverges(p, q.q, 0) is None
     wanted = (linear, ct, escort)
+    exact = _closed_forms(p, a, q, wanted)
+    if exact is not None:
+        return exact
 
     def rows(x: np.ndarray) -> np.ndarray:
         d = p.density(x)
@@ -114,6 +122,26 @@ def _pass(p, a: ConstraintFn | None, q: QIndex | None,
 
     found = iter(quadrature.integrate_de_rows(rows, sum(wanted), p.support, quad))
     return tuple(next(found) if keep else None for keep in wanted)
+
+
+def _closed_forms(p, a: ConstraintFn | None, q: QIndex | None,
+                  wanted: tuple[bool, bool, bool]) -> tuple[float | None, ...] | None:
+    """The entries of `_pass` from `ConstraintSet.linear_integral`, for a
+    q-exponential density whose lam.h and support have its closed form;
+    None for any other density."""
+    if getattr(p, "q", None) is None:
+        return None
+    out = []
+    for keep, power, fn in zip(wanted, (1.0, q.q, q.q), (a, a, None)):
+        value = None
+        if keep:
+            value = p.cs.linear_integral(p.q, p.support, power,
+                                         (1.0,) if fn is None else fn.coefficients)
+            if value is None:
+                return None
+            value *= p.C ** power
+        out.append(value)
+    return tuple(out)
 
 
 # (p, q, quad) of the latest pass read, and that pass.  A row's integral does

@@ -82,8 +82,25 @@ _GK_NODES = np.array(_K21_HALF_NODES[:-1] + tuple(-v for v in _K21_HALF_NODES[::
 _K21_WEIGHTS = np.array(_K21_HALF_WEIGHTS + _K21_HALF_WEIGHTS[-2::-1])
 _G10_WEIGHTS = np.zeros(21)
 _G10_WEIGHTS[1::2] = _G10_HALF_WEIGHTS + _G10_HALF_WEIGHTS[::-1]
+_GK_ERROR_WEIGHTS = _K21_WEIGHTS - _G10_WEIGHTS      # K21 - G10, the error estimate
 _GK_START = 16       # equal sub-intervals per piece in the first round
 _GK_EDGES = np.linspace(0.0, 1.0, _GK_START + 1)
+
+
+def _first_round_table() -> tuple[np.ndarray, np.ndarray]:
+    """The first round's nodes and weights on a span's t in [0, 1], per unit
+    of the span's scale s, each (2, 16, 21): x - origin = s t and dx = s dt
+    on a finite piece ([0]), and x - origin = s (1-t)/t and dx = s dt/t^2
+    on an infinite side ([1]), read-only."""
+    half = (0.5 * (_GK_EDGES[1:] - _GK_EDGES[:-1]))[:, None]
+    t = (0.5 * (_GK_EDGES[1:] + _GK_EDGES[:-1]))[:, None] + half * _GK_NODES
+    steps = np.stack((t, (1.0 - t) / t))
+    weights = np.stack((np.broadcast_to(half, t.shape), half / (t * t)))
+    steps.flags.writeable = weights.flags.writeable = False
+    return steps, weights
+
+
+_R1_STEPS, _R1_WEIGHTS = _first_round_table()
 
 
 @dataclass(frozen=True)
@@ -96,8 +113,9 @@ class QuadratureSpec:
     tail_mass_cut: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ConfigurationError("quadrature tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ConfigurationError("quadrature tolerances must be positive and finite, got "
+                                     f"rel_tol = {self.rel_tol!r}, abs_tol = {self.abs_tol!r}")
         if self.max_subdivisions < 16:
             raise ConfigurationError("max_subdivisions must be at least 16")
         if not (0.0 < self.tail_mass_cut <= 1e-10):
@@ -169,25 +187,30 @@ def integrate(f: Callable[[float], float], interval: SupportInterval,
     return value
 
 
+def _kronrod(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+             w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Gauss-Kronrod round: K21 estimates, K21 - G10 errors and K21
+    estimates of the absolute value, each (rows, sub-intervals), of f on
+    the nodes x with the weights w, each (sub-intervals, 21).  A value
+    that is not finite makes its row's absolute estimate not finite."""
+    values = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape) * w
+    return (values @ _K21_WEIGHTS, np.abs(values @ _GK_ERROR_WEIGHTS),
+            np.abs(values) @ _K21_WEIGHTS)
+
+
 def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
           end: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K21 estimates, |K21 - G10| errors and K21 estimates of the absolute
-    value, each (rows, sub-intervals), of f on the sub-intervals [lo, hi]
-    in t.  Where `end` is nonzero the sub-interval lies in (0, 1] and
-    x = origin + end (1-t)/t, end being the side's width with the sign of
-    its direction; where it is 0, x = t."""
+    """`_kronrod` of f on the sub-intervals [lo, hi] in t.  Where `end` is
+    nonzero the sub-interval lies in (0, 1] and x = origin + end (1-t)/t,
+    end being the side's width with the sign of its direction; where it is
+    0, x = t."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_NODES
     mapped = (end != 0.0)[:, None]
     s = np.where(mapped, t, 1.0)          # no 1/t on the finite pieces
-    with np.errstate(all="ignore"):       # a node or weight that overflows is caught below
-        x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
-        w = np.where(mapped, np.abs(end)[:, None], 1.0) * half[:, None] / np.where(mapped, s * s, 1.0)
-        values = np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape) * w
-    if not np.isfinite(values).all():
-        raise QuadratureError("integrand is not finite on the Gauss-Kronrod nodes")
-    return (values @ _K21_WEIGHTS, np.abs(values @ (_K21_WEIGHTS - _G10_WEIGHTS)),
-            np.abs(values) @ _K21_WEIGHTS)
+    x = np.where(mapped, origin[:, None] + end[:, None] * (1.0 - s) / s, t)
+    w = np.where(mapped, np.abs(end)[:, None], 1.0) * half[:, None] / np.where(mapped, s * s, 1.0)
+    return _kronrod(f, x, w)
 
 
 def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
@@ -202,12 +225,13 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
     t in (0, 1] (s = 1 is QUADPACK's own map); with the scale on which the
     rows decay, the first round's 16 sub-intervals fit a tail of any
     scale.  A piece infinite at both ends is split at 0
-    first.  Each piece starts at 16 equal sub-intervals, and a
-    sub-interval's share of the tolerance is its fraction of its piece
-    over the number of pieces.  A round bisects every sub-interval whose
-    error exceeds its share for some row.  The error is the raw
-    |K21 - G10|, summed per row, and the pass ends when each row's error is
-    at most max(abs_tol, rel_tol * integral of |row|).
+    first.  Each piece starts at 16 equal sub-intervals, whose nodes and
+    weights are one table built once per process (`_first_round_table`),
+    scaled per span.  A sub-interval's share of the tolerance is its
+    fraction of its piece over the number of pieces.  A round bisects
+    every sub-interval whose error exceeds its share for some row.  The
+    error is the raw |K21 - G10|, summed per row, and the pass ends when
+    each row's error is at most max(abs_tol, rel_tol * integral of |row|).
 
     Raises QuadratureError when f is not finite at a node (it overflows),
     or when the sub-intervals would exceed max_subdivisions per piece (f
@@ -227,38 +251,48 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
             spans.append(side(-1.0, b))
         else:
             spans.append((a, b, 0.0, 0.0))
-    t0, t1, end, origin = np.array(spans).T
-    edges = t0[:, None] + (t1 - t0)[:, None] * _GK_EDGES     # (spans, 17)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    end, origin = np.repeat(end, _GK_START), np.repeat(origin, _GK_START)
-    share = np.full(lo.size, 1.0 / lo.size)
     budget = spec.max_subdivisions * len(spans)
-    value, err, mass = _gk21(f, lo, hi, end, origin)
-    while True:
-        bound = err.sum(axis=1)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * mass.sum(axis=1))
-        if np.all(bound <= tol):
-            return value.sum(axis=1)
-        split = np.any(err > tol[:, None] * share, axis=0)
-        if lo.size + np.count_nonzero(split) > budget:
-            worst = int(np.argmax(bound / tol))
-            raise QuadratureError(
-                f"Gauss-Kronrod pass did not converge within {spec.max_subdivisions} "
-                f"sub-intervals per piece (row {worst}: estimate "
-                f"{float(value[worst].sum())!r}, error bound {float(bound[worst])!r})",
-                estimate=float(value[worst].sum()), error_bound=float(bound[worst]))
-        lo_s, hi_s, end_s, origin_s = lo[split], hi[split], end[split], origin[split]
-        mid = 0.5 * (lo_s + hi_s)
-        new = (np.concatenate((lo_s, mid)), np.concatenate((mid, hi_s)),
-               np.concatenate((end_s, end_s)), np.concatenate((origin_s, origin_s)))
-        keep = ~split
-        parts = zip((value, err, mass), _gk21(f, *new))
-        value, err, mass = (np.concatenate((old[:, keep], fresh), axis=1)
-                            for old, fresh in parts)
-        half_share = 0.5 * share[split]
-        share = np.concatenate((share[keep], half_share, half_share))
-        lo, hi, end, origin = (np.concatenate((old[keep], fresh))
-                               for old, fresh in zip((lo, hi, end, origin), new))
+    lo = None       # the sub-intervals in t, as _gk21 reads them, once a round splits
+    # a node or weight that overflows, and so a value, is caught by its row's mass
+    with np.errstate(all="ignore"):
+        x = np.concatenate([origin + end * _R1_STEPS[1] if end else t0 + (t1 - t0) * _R1_STEPS[0]
+                            for t0, t1, end, origin in spans])
+        w = np.concatenate([abs(end) * _R1_WEIGHTS[1] if end else (t1 - t0) * _R1_WEIGHTS[0]
+                            for t0, t1, end, origin in spans])
+        value, err, mass = _kronrod(f, x, w)
+        while True:
+            bound, masses = err.sum(axis=1).tolist(), mass.sum(axis=1).tolist()
+            if not all(map(math.isfinite, masses)):
+                raise QuadratureError("integrand is not finite on the Gauss-Kronrod nodes")
+            tol = [max(spec.abs_tol, spec.rel_tol * m) for m in masses]
+            if all(b <= t for b, t in zip(bound, tol)):
+                return value.sum(axis=1)
+            if lo is None:
+                t0, t1, end, origin = np.array(spans).T
+                edges = t0[:, None] + (t1 - t0)[:, None] * _GK_EDGES     # (spans, 17)
+                lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+                end, origin = np.repeat(end, _GK_START), np.repeat(origin, _GK_START)
+                share = np.full(lo.size, 1.0 / lo.size)
+            split = np.any(err > np.array(tol)[:, None] * share, axis=0)
+            if lo.size + np.count_nonzero(split) > budget:
+                worst = max(range(len(tol)), key=lambda i: bound[i] / tol[i])
+                raise QuadratureError(
+                    f"Gauss-Kronrod pass did not converge within {spec.max_subdivisions} "
+                    f"sub-intervals per piece (row {worst}: estimate "
+                    f"{float(value[worst].sum())!r}, error bound {bound[worst]!r})",
+                    estimate=float(value[worst].sum()), error_bound=bound[worst])
+            lo_s, hi_s, end_s, origin_s = lo[split], hi[split], end[split], origin[split]
+            mid = 0.5 * (lo_s + hi_s)
+            new = (np.concatenate((lo_s, mid)), np.concatenate((mid, hi_s)),
+                   np.concatenate((end_s, end_s)), np.concatenate((origin_s, origin_s)))
+            keep = ~split
+            parts = zip((value, err, mass), _gk21(f, *new))
+            value, err, mass = (np.concatenate((old[:, keep], fresh), axis=1)
+                                for old, fresh in parts)
+            half_share = 0.5 * share[split]
+            share = np.concatenate((share[keep], half_share, half_share))
+            lo, hi, end, origin = (np.concatenate((old[keep], fresh))
+                                   for old, fresh in zip((lo, hi, end, origin), new))
 
 
 def path_integral(f: Callable[[float], float], a: float, b: float,

@@ -78,6 +78,55 @@ def _real_roots(coeffs: Sequence[float]) -> list[float]:
     return []
 
 
+def _cubic_real_parts(coeffs: Sequence[float]) -> list[float]:
+    """`_real_roots` of the cubic with ascending `coeffs`, in closed form.
+
+    With x = t - b/(3a) the cubic is t^3 + p t + r.  Three real roots come
+    from the trigonometric form; one real root from Cardano's, taken
+    without cancellation, with -t/2 the real part of the complex pair.
+    Each real root is polished by one Newton step on the cubic itself,
+    kept where it lowers |cubic|: next to a near-double root the slope is
+    near 0 and a step could leave it.  numpy.roots where an intermediate
+    is not finite."""
+    d, c, b, a = coeffs
+    try:
+        b, c, d = b / a, c / a, d / a
+        shift = b / 3.0
+        p = c - b * shift
+        r = d - c * shift + 2.0 * shift ** 3
+        if 4.0 * p ** 3 + 27.0 * r * r < 0.0:     # three real roots, p < 0
+            m = 2.0 * math.sqrt(-p / 3.0)
+            angle = math.acos(max(-1.0, min(1.0, 3.0 * r / (p * m)))) / 3.0
+            real = [m * math.cos(angle - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
+            pair = []
+        else:
+            root = abs(r) / 2.0 + math.sqrt(max(0.0, r * r / 4.0 + p ** 3 / 27.0))
+            big = -math.copysign(float(np.cbrt(root)), r)
+            t = big - p / (3.0 * big) if big != 0.0 else 0.0
+            real, pair = [t - shift], [-0.5 * t - shift]
+    except (OverflowError, ZeroDivisionError):
+        real = pair = [math.nan]
+    if not all(math.isfinite(x) for x in real + pair):
+        return _real_roots(coeffs)
+    slope = _derivative(coeffs)
+    for i, x in enumerate(real):
+        value, step = _horner(coeffs, x), _horner(slope, x)
+        polished = x - value / step if step != 0.0 else x
+        if abs(_horner(coeffs, polished)) < abs(value):
+            real[i] = polished
+    return sorted(set(real + pair))
+
+
+def _taylor_shift(coeffs: Sequence[float], x: float) -> list[float]:
+    """Ascending coefficients of p(x + y) in y, p the polynomial `coeffs`,
+    by synthetic division."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += x * c[j + 1]
+    return c
+
+
 def _derivative(coeffs: Sequence[float]) -> list[float]:
     """Ascending coefficients of the derivative of the polynomial `coeffs`."""
     return [k * a for k, a in enumerate(coeffs)][1:] or [0.0]
@@ -128,7 +177,8 @@ class ConstraintSet:
     """Observables h_i with multipliers lam_i and optional targets K_i; the
     one owner of the polynomial lam.h, of its degree, end signs, slope,
     critical points and margin phi = 1 - (1-q) lam.h, and so of the rule
-    that says where an integral of its q-exponential diverges."""
+    that says where an integral of its q-exponential diverges, and of that
+    integral's closed form for a linear lam.h."""
 
     constraints: tuple[ConstraintFn, ...]
     multipliers: tuple[float, ...]
@@ -203,18 +253,17 @@ class ConstraintSet:
     def critical_points(self) -> tuple[float, ...]:
         """Distinct real parts of the roots of (lam.h)', ascending: every real
         critical point, and the real part of a complex pair, where (lam.h)'
-        keeps its sign."""
-        return tuple(_real_roots(self._slope))
+        keeps its sign.  A cubic (lam.h)' is solved in closed form
+        (`_cubic_real_parts`), without numpy.roots' eigen-solve."""
+        slope = self._slope
+        return tuple(_cubic_real_parts(slope) if len(slope) == 4 else _real_roots(slope))
 
     def width(self, x: float) -> float:
         """The distance from x at which the largest term of lam.h's Taylor
         expansion about x, c_k y^k with k >= 1, reaches 1: min_k |c_k|^(-1/k).
         1.0 where that is not finite (every c_k is 0, or so small, such as a
         subnormal, that 1/|c_k|^(1/k) overflows)."""
-        c = list(self._ascending)
-        for i in range(len(c) - 1):     # c_k of lam.h(x + y), by synthetic division
-            for j in range(len(c) - 2, i - 1, -1):
-                c[j] += x * c[j + 1]
+        c = _taylor_shift(self._ascending, x)      # c_k of lam.h(x + y)
         # max_k |c_k|^(1/k) cannot overflow where its reciprocal can
         root = max((abs(a) ** (1.0 / k) for k, a in enumerate(c) if k), default=0.0)
         width = 1.0 / root if root > 0.0 else math.inf
@@ -255,10 +304,59 @@ class ConstraintSet:
                     return e, f"decays like |x|^-e toward {side} with e = {e!r} <= 1"
             elif not classical:
                 f = power / (q.q - 1.0)
-                if f >= 1.0 and self.margin(q.q, end) <= 1e-12:
+                if f >= 1.0 and self._is_root(q, end):
                     return f, (f"grows like dist^-f toward the support edge x = {end!r}, "
                                f"a root of phi, with f = {f!r} >= 1")
         return None
+
+    def _is_root(self, q: QIndex, end: float) -> bool:
+        """Whether the finite support end `end` is a root of phi: phi <= 1e-12 there."""
+        return not q.is_classical() and self.margin(q.q, end) <= 1e-12
+
+    def linear_integral(self, q: QIndex, support: SupportInterval, power: float = 1.0,
+                        observable: Sequence[float] = (1.0,)) -> float | None:
+        """int e_q(-lam.h)^power A over `support` in closed form, A the
+        polynomial with ascending coefficients `observable`, where lam.h is
+        linear and the support runs from its one finite end a that is not a
+        root of phi to a root of phi or to +-inf; None elsewhere.  The
+        integral is taken to converge, as `divergence` decides.
+
+        With d = +-1 toward the far end and kappa = d lam / phi(a), the
+        density factors as e_q(-lam.h(a + d y)) = e_q(-lam.h(a)) e_q(-kappa y),
+        and with a_k the coefficients of A(a + y)
+
+            int p^s A = e_q(-lam.h(a))^s sum_k a_k d^k k!
+                        / (kappa^(k+1) prod_{j=1..k+1} (s + j(1-q))),
+
+        integration by parts whose boundary terms vanish wherever the
+        integral converges: at a cutoff (q < 1), toward infinity (kappa > 0)
+        and at a pole (q > 1, kappa < 0).  The products stay exact through
+        q = 1, where they give int y^k e^{-s kappa y}; e_q is taken at q
+        itself, also within EPS_Q1 of 1.
+        """
+        if self.degree != 1:
+            return None
+        free = [(end, d) for end, d in ((support.lower, 1.0), (support.upper, -1.0))
+                if math.isfinite(end) and not self._is_root(q, end)]
+        if len(free) != 1:
+            return None
+        (a, d), = free
+        one_minus_q = 1.0 - q.q
+        t = self.potential(a)
+        kappa = d * self._ascending[1] / (1.0 - one_minus_q * t)
+        log_base = -power * t if one_minus_q == 0.0 else \
+            power * math.log1p(-one_minus_q * t) / one_minus_q
+        try:
+            base = math.exp(log_base)       # e_q(-lam.h(a))^power
+        except OverflowError:
+            return math.inf
+        shifted = _taylor_shift(observable, a)      # a_k of A(a + y)
+        term = 1.0 / (kappa * (power + one_minus_q))
+        total = shifted[0] * term
+        for k in range(1, len(shifted)):
+            term *= k * d / (kappa * (power + (k + 1) * one_minus_q))
+            total += shifted[k] * term
+        return base * total
 
 
 def _margin_coefficients(q: float, cs: ConstraintSet, level: float = 0.0,

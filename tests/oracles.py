@@ -128,3 +128,45 @@ def slope_matches_finite_difference(cs: qb.ConstraintSet, grid: Sequence[float],
         if abs(fd - exact) > rel_tol * max(1.0, abs(exact)):
             return False
     return True
+
+
+def climb_moments(constraints, domain, quad, lam, targets=None):
+    """The first moment pass of `maxent._moment_functions`, taken level by
+    level from DE_START_LEVEL: each level evaluated on its own nodes,
+    accepted when it agrees with its even nodes.  Returns (E[h], log Z,
+    Cov(h), the level accepted), or raises what the pass raises."""
+    from qbridge import maxent, quadrature
+
+    lam = np.asarray(lam, dtype=float)
+    gate = None if targets is None else float(lam @ targets)
+    for level in range(quadrature.DE_START_LEVEL, quadrature.DE_MAX_LEVEL + 1):
+        w = quadrature.de_rule(domain, level)[1]
+        R = maxent._moment_rows(constraints, domain, level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = lam @ R[1:]
+            shift = float(f.min())
+            if not math.isfinite(shift):
+                raise qb.QuadratureError(
+                    f"exponent lam.h is not finite on the nodes for lam = {lam.tolist()}")
+            if gate is not None and gate < shift:
+                maxent._refute_targets(constraints, lam, targets, domain)
+            gate = None
+            f = np.exp(shift - f) * w
+            rows = R * f
+            sums, coarse = rows.sum(axis=1), 2.0 * rows[:, ::2].sum(axis=1)
+            scale = np.abs(rows).sum(axis=1)
+            ends = np.maximum(abs(rows[:, 0]), abs(rows[:, -1]))
+            z, mean = sums[0], sums[1:] / sums[0]
+        if not np.isfinite(mean).all():
+            raise qb.QuadratureError(f"moments overflow on the nodes for lam = {lam.tolist()}")
+        if (ends > quad.rel_tol * scale).any():
+            raise qb.QuadratureError(
+                f"weight exp(-lam.h) does not decay on the domain for lam = {lam.tolist()}")
+        if (abs(z - coarse[0]) <= quad.rel_tol * z
+                and (np.abs(mean - coarse[1:] / coarse[0])
+                     <= np.maximum(quad.abs_tol, quad.rel_tol * scale[1:] / z)).all()):
+            d = R[1:] - mean[:, None]
+            return mean, math.log(z) - shift, (d * f) @ d.T / z, level
+    raise qb.QuadratureError(
+        f"double-exponential levels {quadrature.DE_MAX_LEVEL - 1} and "
+        f"{quadrature.DE_MAX_LEVEL} disagree for lam = {lam.tolist()}")

@@ -97,16 +97,51 @@ def test_fit_ops_average_at_most_5_7_moment_passes_and_3_3_re_check_rounds(monke
     # per operation with a pass for every fit and QUADPACK's unit-width map
     import qbridge.maxent as maxent
     import qbridge.quadrature as quadrature
-    build, gk21, passes, rounds = maxent._moment_functions, quadrature._gk21, [], []
+    build, kronrod, passes, rounds = maxent._moment_functions, quadrature._kronrod, [], []
 
     def counting(*args, **kwargs):
         moments = build(*args, **kwargs)
         return lambda *a, **kw: passes.append(1) or moments(*a, **kw)
 
     monkeypatch.setattr(maxent, "_moment_functions", counting)
-    monkeypatch.setattr(quadrature, "_gk21", lambda *a: rounds.append(1) or gk21(*a))
+    monkeypatch.setattr(quadrature, "_kronrod", lambda *a: rounds.append(1) or kronrod(*a))
     for index in range(100):
         for solve in workloads.fit_op(7, "w0", index)["solves"]:
             worker.solve(solve)
     assert len(passes) <= 5.7 * 100
     assert len(rounds) <= 3.3 * 100
+
+
+def test_one_fit_op_makes_the_counted_passes(monkeypatch):
+    # counts stay put where timings on a shared machine do not: one fixed
+    # fit-moments op, its work per solve and per averages call
+    import numpy as np
+    import qbridge.maxent as maxent
+    import qbridge.quadrature as quadrature
+    counts = {name: 0 for name in ("levels", "rounds", "passes", "roots", "quad")}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    # one _moment_rows lookup per level a moment pass evaluates
+    monkeypatch.setattr(maxent, "_moment_rows", counting("levels", maxent._moment_rows))
+    monkeypatch.setattr(quadrature, "_kronrod", counting("rounds", quadrature._kronrod))
+    monkeypatch.setattr(quadrature, "integrate_de_rows",
+                        counting("passes", quadrature.integrate_de_rows))
+    monkeypatch.setattr(np, "roots", counting("roots", np.roots))
+    monkeypatch.setattr(quadrature, "quad", counting("quad", quadrature.quad))
+    op = workloads.in_process_op("fit-moments", 1, "w0", 0)
+    per_solve = {}
+    for solve in op["solves"]:
+        counts["levels"] = counts["rounds"] = 0
+        worker.solve(solve)
+        per_solve[solve["name"]] = (counts["levels"], counts["rounds"])
+    # (DE level evaluations, Gauss-Kronrod rounds); the infeasible targets
+    # end at a certificate in the first pass, before any re-check
+    assert per_solve == {"1c": (0, 1), "2c": (0, 1), "3c": (5, 2), "infeasible": (1, 0)}
+    for averages in op["averages"]:     # q = 0.5 and 1.2 on the half-line: closed forms
+        worker.averages(averages)
+    assert (counts["passes"], counts["roots"], counts["quad"]) == (0, 0, 0)

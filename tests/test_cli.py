@@ -365,22 +365,22 @@ _ID = ("--lambda", "1", "--h", "identity")
 # outputs, even in a last digit, updates this table and says so in CHANGES.md.
 README_ARTIFACTS = [
     (("transform", "--q", "0.5", *_ID, "--grid", "0:1.9:20"), 0,
-     "04f038586198c739d62c867b1702862eb1cc2d9eac75b36717d1bcaa96f6919f"),
+     "7e7768a1e06d555a624056c4371964dd10c4b39900582e524be59fe9138c103f"),
     (("solve-shannon", "--q", "1", *_ID, "--K", "2", "--domain", "0:inf"), 0,
      "57ec37335358069f7315ab0396ed5ffacf6adf04a6cb33e199612db02806024b"),
     (("verify", "--q", "0.5", *_ID), 0,
-     "bb20311911884f2f3d6225324122310b3c1bb04aa006b53c964951280ebc23a8"),
+     "6af874b619a3da547339025001f1776b0147bee19e67da81d2a34c245bd36fc7"),
     (("sample", "--q", "1.5", *_ID, "--n-samples", "100000", "--seed", "0"), 0,
      "83df1b98a4b83bca430b0aec8d0a00b2072e2f40a9d672fe1f8f7a11c89dc84e"),
     (("averages", "--q", "0.5", *_ID, "--A", "identity"), 0,
-     "f0166d11e5df0779992105fe9cbc8256566ef5cb49f89536ddc2f68eee3bb26a"),
+     "51d1c69d5ac79f51ec3d78940fada1e74bb2eadc5521677746c8a2850d55f8e9"),
     (("transform", "--c", "0.3", "--q", "2.5", "--lambda", "1", "--h", "square",
       "--domain=-inf:inf", "--grid=-2:2:9"), 0,
      "39f37f3cc9a700863237694a1bde33d9583815adb77d0a9d58435b58f261c791"),
     (("transform", "--c", "0.3", "--q", "0.5", *_ID, "--grid", "0:1.9:5"), 0,
-     "ebd83aa5dc84ece642f2c4ad8ef6eeedd0eb203ac02ba3f0bb7a4c6822fb0a87"),
+     "89b027f170ffff2868a0c8cd910983187d171b2ef227bd12437730bf682ed5d7"),
     (("averages", "--q", "1.4", *_ID, "--A", "poly:0,1,0"), 0,
-     "4b6a1e9cbc9fda6e53cf3886177ce6ddf0da1a21bdfa44f7cb1d1db405c7ffaa"),
+     "d3c73d234dee7016b9e2614412149179cf40eec8ee518e7a4b79faa3a2958190"),
 ]
 
 
@@ -534,6 +534,11 @@ _SOLVE_ID = ("solve-shannon", "--q", "1", "--lambda", "1", "--domain", "0:inf")
     ((*_SOLVE_ID, "--h", "poly:0,nan", "--K", "1"), "coefficients must be finite"),
     (("averages", "--q", "0.5", *_ID, "--A", "poly:0,nan"), "coefficients must be finite"),
     (("sample", "--q", "0.5", *_ID, "--seed", "-1"), "seed must be non-negative"),
+    # these exited 0 with fits whose every estimate was accepted
+    ((*_SOLVE_ID, "--h", "identity", "--K", "2", "--rel-tol", "inf"),
+     "tolerances must be positive and finite"),
+    ((*_SOLVE_ID, "--h", "identity", "--K", "2", "--abs-tol", "inf"),
+     "tolerances must be positive and finite"),
 ])
 def test_non_finite_inputs_and_a_negative_seed_exit_two(capsys, monkeypatch, args, message):
     from qbridge import cli

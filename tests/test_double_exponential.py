@@ -2,9 +2,10 @@
 
 `normalize_tsallis`, `shannon_partner` and the four averages integrate on
 `quadrature.integrate_de`, with QUADPACK's `integrate` as the fallback
-where the rule cannot certify a result.  scipy's `quad` at epsrel = 1e-12,
-on scalar integrands written out here, is the oracle; the fallback
-examples pin the values QUADPACK gave before the rule existed.
+where the rule cannot certify a result (a linear lam.h whose support ends
+at a root of phi or at infinity is in closed form instead).  scipy's
+`quad` at epsrel = 1e-12, on scalar integrands written out here, is the
+oracle; the fallback examples pin QUADPACK's values.
 """
 
 import math
@@ -111,26 +112,31 @@ def test_normalization_and_averages_match_scipy_quad(q, shape, coeffs, degree, l
 
 # ------------------------------------------------------- fallback to QUADPACK
 
-# QUADPACK's results for x on the half-line, lam = 1, before the rule
-# existed.  Their tails, x^(-1/(q-1)), are too heavy for t in [-4, 4], so
-# these integrals still go to `integrate`.
-@pytest.mark.parametrize("q,C", [(1.96, 0.040000000000055075), (1.99, 0.010000000000040959)])
-def test_heavy_tails_fall_back_to_the_same_normalization(q, C):
-    cs = ConstraintSet((ConstraintFn.identity(),), (1.0,))
-    # the exact C is 2 - q; QUADPACK's values are 1.4e-12 and 4.1e-12 above it
-    assert qb.normalize_tsallis(q, cs, QUAD, domain=HALF_LINE).C == pytest.approx(C, rel=1e-13)
-
-
-def test_heavy_mean_falls_back_to_quadpack(monkeypatch):
-    # at q = 1.49 the mean's integrand decays as x^-1.04; QUADPACK gave
-    # 49.99999999988843 (the exact mean is 1/((3-2q) lam) = 50)
-    cs = ConstraintSet((ConstraintFn.identity(),), (1.0,))
-    t = qb.normalize_tsallis(1.49, cs, QUAD, domain=HALF_LINE)
-    assert t.C == pytest.approx(0.51, rel=1e-14)
+# The q-Gaussian, x^2 on the line with lam = 1: its tails, |x|^(-2/(q-1)),
+# are too heavy for t in [-4, 4], so these integrals go to `integrate`.
+@pytest.mark.parametrize("q,C", [(2.96, 0.014087430390146313), (2.99, 0.0035321183419680345)])
+def test_heavy_tails_fall_back_to_the_same_normalization(monkeypatch, q, C):
     calls = []
     real = Q.integrate
     monkeypatch.setattr(Q, "integrate", lambda *a: calls.append(a) or real(*a))
-    assert qb.mean_linear(t, X, QUAD) == pytest.approx(49.99999999988843, rel=1e-9)
+    cs = ConstraintSet((ConstraintFn.square(),), (1.0,))
+    # the Beta closed form gives C within 4e-13 and 1.1e-11 of these values
+    assert qb.normalize_tsallis(q, cs, QUAD, domain=REAL_LINE).C == pytest.approx(C, rel=1e-13)
+    assert len(calls) == 1
+
+
+def test_heavy_mean_falls_back_to_quadpack(monkeypatch):
+    # x^2 on the half-line at q = 1.98: the mean's integrand decays as
+    # x^-1.04; QUADPACK gives 16.19687273649347, and the exact mean is
+    # 1/(2 (2-q) Z) = 16.196872736529574 with Z = 1/C
+    cs = ConstraintSet((ConstraintFn.square(),), (1.0,))
+    t = qb.normalize_tsallis(1.98, cs, QUAD, domain=HALF_LINE)
+    calls = []
+    real = Q.integrate
+    monkeypatch.setattr(Q, "integrate", lambda *a: calls.append(a) or real(*a))
+    mean = qb.mean_linear(t, X, QUAD)
+    assert mean == pytest.approx(16.19687273649347, rel=1e-9)
+    assert mean == pytest.approx(t.C / (2.0 * (2.0 - 1.98)), rel=1e-11)
     assert len(calls) == 1
 
 

@@ -158,9 +158,10 @@ def test_shannon_solves_make_no_quadpack_call(monkeypatch):
 @pytest.mark.parametrize("k", [1e-3, 1.0, 30.0, 1e3, 1e5])
 def test_the_exponential_re_check_certifies_in_one_round(monkeypatch, k):
     from qbridge.maxent import _check_shannon_invariants
-    rounds, gk21 = [], qbridge.quadrature._gk21
-    monkeypatch.setattr(qbridge.quadrature, "_gk21",
-                        lambda *args: rounds.append(1) or gk21(*args))
+    # every round, the first one from the prebuilt table too, is one _kronrod call
+    rounds, kronrod = [], qbridge.quadrature._kronrod
+    monkeypatch.setattr(qbridge.quadrature, "_kronrod",
+                        lambda *args: rounds.append(1) or kronrod(*args))
     s = qb.ShannonSolution(mu=math.log(k), cs=ConstraintSet((X,), (1.0 / k,), targets=(k,)),
                            domain=HALF_LINE)
     _check_shannon_invariants(s, QuadratureSpec())

@@ -388,3 +388,59 @@ def test_a_failed_first_moment_pass_is_reported_as_such(targets):
 @pytest.mark.parametrize("k1,k2", [(0.0, 1e-6), (1.0, 1.0 + 1e-6), (0.0, 1e-10)])
 def test_narrow_gaussians_are_fitted_in_closed_form(k1, k2):
     _check_gaussian_fit(_solve((X, X2), (k1, k2), REAL_LINE), k1, k2)
+
+
+# ------------------------------------------------- the one-level first pass
+
+def _first_pass(observables, domain, lams, targets):
+    """What the first pass of `_moment_functions` returns or raises, and
+    the level it returns: the last `de_rule` level it evaluates."""
+    import qbridge.maxent as maxent
+    levels, real = [], maxent.de_rule
+    maxent.de_rule = lambda interval, level: levels.append(level) or real(interval, level)
+    try:
+        mean, log_z, cov = _moment_functions(observables, domain, QuadratureSpec(),
+                                             targets=targets)(lams)
+        return ("value", mean.tolist(), log_z, cov.tolist(), levels[-1])
+    except qb.QBridgeError as exc:
+        return (type(exc).__name__, str(exc))
+    finally:
+        maxent.de_rule = real
+
+
+def _climb(observables, domain, lams, targets):
+    from oracles import climb_moments
+    try:
+        mean, log_z, cov, level = climb_moments(observables, domain, QuadratureSpec(), lams,
+                                                targets)
+        return ("value", mean.tolist(), log_z, cov.tolist(), level)
+    except qb.QBridgeError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(domain=st.sampled_from([HALF_LINE, REAL_LINE, SupportInterval(-1.0, 2.0)]),
+       powers=st.sampled_from([(1,), (2,), (1, 2), (2, 4), (1, 2, 4)]),
+       lams=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       lead=st.sampled_from([1e-2, 1.0, 1e2]),
+       targets=st.none() | st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+@example(domain=SupportInterval(-1.0, 2.0), powers=(2, 4), lams=[-0.92, 1.84, 0.0], lead=1e-2,
+         targets=None)          # accepted at level 4
+@example(domain=HALF_LINE, powers=(1,), lams=[1.26, 0.0, 0.0], lead=1.0,
+         targets=None)          # accepted at level 5
+@example(domain=REAL_LINE, powers=(1, 2, 4), lams=[-0.96, -1.03, 1.55], lead=1e-2,
+         targets=None)          # accepted at level 8
+@example(domain=HALF_LINE, powers=(2,), lams=[-0.28, 0.0, 0.0], lead=1.0,
+         targets=None)          # raises at level 4: no decay
+@example(domain=REAL_LINE, powers=(1, 2), lams=[-4.0, 1.0, 0.0], lead=1.0,
+         targets=[2.0, 1.0, 0.0])   # a certificate of E[x^2] < E[x]^2
+def test_the_first_pass_returns_the_level_and_bits_of_a_climb(domain, powers, lams, lead,
+                                                             targets):
+    # the pass evaluates level 6 first and reads levels 4 and 5 from its
+    # nested nodes; a climb evaluates 4, 5, 6, ... in turn
+    observables = tuple({1: X, 2: X2, 4: X4}[p] for p in powers)
+    lams = np.array(lams[:len(powers)])
+    lams[-1] = lead * lams[-1]
+    targets = None if targets is None else np.array(targets[:len(powers)])
+    assert _first_pass(observables, domain, lams, targets) == _climb(observables, domain, lams,
+                                                                     targets)

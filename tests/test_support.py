@@ -292,3 +292,41 @@ def test_constraint_set_holds_the_facts_about_lam_h(terms, xs, q):
     tol = 1e-4 * (1.0 + max(abs(a / slope[-1]) for a in slope))
     assert all(min(abs(r - e) for e in expected) <= tol for r in points)
     assert all(min(abs(r - e) for r in points) <= tol for e in expected)
+
+
+# ------------------------------------------------ a cubic slope in closed form
+
+@settings(max_examples=200, deadline=None)
+@given(lead=_signed(0.05, 5.0).filter(lambda a: a != 0.0), r=st.floats(-3.0, 3.0), s=st.floats(-3.0, 3.0),
+       t=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]) | st.floats(-2.0, 2.0),
+       pair=st.booleans())
+@example(lead=1.0, r=0.5, s=0.5, t=0.0, pair=False)         # a triple root
+@example(lead=2.0, r=-1.0, s=1.0, t=1e-9, pair=False)       # a near-double root
+@example(lead=2.0, r=-1.0, s=1.0, t=1e-9, pair=True)        # a near-real pair
+@example(lead=0.4, r=0.3, s=-0.2, t=1.5, pair=True)
+def test_cubic_critical_points_match_numpy_roots(lead, r, s, t, pair):
+    # (lam.h)' = lead (x - r)(x - s - t)(x - s + t), or, with `pair`,
+    # lead (x - r)((x - s)^2 + t^2): the real roots, and the real part s
+    # of a complex pair, as numpy.roots gives them
+    quadratic = (s * s + t * t, -2.0 * s, 1.0) if pair else (s * s - t * t, -2.0 * s, 1.0)
+    slope = P.polymul((-r, 1.0), quadratic) * lead
+    cs = ConstraintSet((ConstraintFn.polynomial(P.polyint(slope).tolist()),), (1.0,))
+    points = cs.critical_points
+    expected = sorted(set(np.roots(cs._slope[::-1]).real.tolist()))
+    assert list(points) == sorted(set(points))
+    # a double or triple root is found to ~eps^(1/2) or eps^(1/3) on either
+    # side, and roots closer than 0.1 lose digits as their spread shrinks
+    roots = (r, s - t, s + t)
+    spread = min(abs(roots[i] - roots[j]) for i in range(3) for j in range(i))
+    tol = (1e-12 if spread > 0.1 else 2e-5) * (1.0 + abs(r) + abs(s) + abs(t))
+    assert all(min(abs(p - e) for e in expected) <= tol for p in points)
+    assert all(min(abs(p - e) for p in points) <= tol for e in expected)
+
+
+def test_a_cubic_slope_takes_no_eigen_solve(monkeypatch):
+    monkeypatch.setattr(np, "roots", lambda p: pytest.fail("numpy.roots called"))
+    cs = ConstraintSet((ConstraintFn.identity(), ConstraintFn.square(),
+                        ConstraintFn.polynomial((0.0, 0.0, 0.0, 0.0, 1.0))), (-0.5, -0.5, 0.2))
+    # (lam.h)' = 0.8 x^3 - x - 0.5: one real root and a complex pair
+    assert cs.critical_points == pytest.approx((-0.6568412711779585, 1.313682542355915),
+                                               rel=1e-15)
