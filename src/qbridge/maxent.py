@@ -20,14 +20,18 @@ lam.K below the infimum of lam.h over the domain, found inside the moment
 pass and raised as FeasibilityError.
 The Tsallis solution keeps the same multipliers and only renormalizes, on
 the support bounded by the roots of its margin polynomial: the
-transformation carries them over unchanged.  `shannon_partner` builds the
-Shannon solution with those multipliers on the image of that support
-under u, and `verify_transport` compares both normalized densities
-pointwise through the change of variables.  Where lam.h is linear and the
-Tsallis support runs from one finite end to a root of phi or to infinity,
-its normalization is in closed form (`ConstraintSet.linear_integral`);
-otherwise both normalizations integrate the densities, which take numpy
-arrays of nodes, on the double-exponential rule (`integrate_de`).
+transformation carries them over unchanged.  Every integral of the
+q-exponential family, int p^s A, is taken in one place,
+`TsallisSolution.integrals`: `ConstraintSet.divergence` screens it,
+`ConstraintSet.linear_integral` gives it in closed form where lam.h is
+linear and the support runs from one finite end to a root of phi or to
+infinity, and otherwise one double-exponential pass takes all of its rows
+on shared nodes, with QUADPACK for a row that pass cannot certify.
+`normalize_tsallis` reads the normalization there, and `shannon_partner`
+that of the family's q = 1 member on the image of the Tsallis support
+under u: the Shannon solution with the same multipliers.
+`verify_transport` compares both normalized densities pointwise through
+the change of variables.
 """
 
 from __future__ import annotations
@@ -39,11 +43,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import quadrature
 from .errors import (
     ConfigurationError,
     EdgeSingularityError,
     FeasibilityError,
+    NonIntegrableError,
     NonNormalizableError,
+    QBridgeError,
     QuadratureError,
     SolverError,
     UnsupportedRegimeError,
@@ -56,7 +63,6 @@ from .quadrature import (
     QuadratureSpec,
     de_rule,
     integrate,
-    integrate_de,
     integrate_rows,
 )
 from .transform import (ConstraintFn, ConstraintSet, TransformMap, qexp_support,
@@ -120,6 +126,58 @@ class TsallisSolution:
         inside = self.support.contains(x) & (1.0 - (1.0 - self.q.q) * t > 0.0)
         value = np.where(inside, self.C * q_exp(np.where(inside, -t, 0.0), self.q), 0.0)
         return value if np.ndim(x) else float(value)
+
+    def integrals(self, rows: Sequence[tuple[float, ConstraintFn | None]],
+                  quad: QuadratureSpec) -> list:
+        """int p^s A over the support for each row (s, A), A a ConstraintFn
+        or None for A = 1: per row a float, or the QBridgeError its reader
+        raises.
+
+        `cs.divergence` screens each row once; a divergent row's entry is a
+        NonIntegrableError, "the integrand ...", carrying the tail exponent.
+        The linear family is in closed form (`cs.linear_integral`, times
+        C^s).  The other rows take one `quadrature.integrate_de_rows` pass
+        on shared nodes, as p.density(x) ** s * A with each power taken
+        once.  A row that pass cannot certify goes alone to
+        `quadrature.integrate`, whose integrand takes one float at a time,
+        and its entry is that value or the QBridgeError it raised.
+        """
+        q, cs, support = self.q, self.cs, self.support
+        out: list = [None] * len(rows)
+        for i, (s, a) in enumerate(rows):
+            found = cs.divergence(q, support, s, 0 if a is None else a.degree)
+            if found is not None:
+                out[i] = NonIntegrableError(f"the integrand {found[1]}", tail_exponent=found[0])
+                continue
+            z = cs.linear_integral(q, support, s, (1.0,) if a is None else a.coefficients)
+            if z is not None:
+                out[i] = self.C ** s * z
+        open_ = [rows[i] for i, entry in enumerate(out) if entry is None]
+        if not open_:
+            return out
+
+        def values(x: np.ndarray) -> np.ndarray:
+            d = self.density(x)
+            powers = {s: d ** s for s, _ in open_}
+            observed = {a: a.value(x) for _, a in open_ if a is not None}
+            return np.array([powers[s] if a is None else powers[s] * observed[a]
+                             for s, a in open_])
+
+        found = iter(quadrature.integrate_de_rows(values, len(open_), support, quad))
+        for i, (s, a) in enumerate(rows):
+            if out[i] is not None:
+                continue
+            value = next(found)
+            if value is None:
+                def scalar(x: float, s: float = s, a: ConstraintFn | None = a) -> float:
+                    return self.density(x) ** s * (1.0 if a is None else a.value(x))
+
+                try:
+                    value = quadrature.integrate(scalar, support, quad)
+                except QBridgeError as exc:
+                    value = exc
+            out[i] = value
+        return out
 
 
 TRANSPORT_COLUMNS = ("x", "g", "J", "u", "p_tsallis", "p_shannon_pushforward",
@@ -673,31 +731,31 @@ def normalize_tsallis(q: QIndex | float, cs: ConstraintSet,
     """Normalize C e_q(-dot(lam, h(x))) on the cutoff support around `anchor`.
 
     Multipliers are taken verbatim from `cs`; only the normalization
-    constant is computed.  `domain` optionally restricts the support
-    (e.g. a half-line for mean constraints).  Raises NonNormalizableError
-    before any quadrature where `cs.divergence` finds the integral
-    divergent, the rule the averages use too.  Where lam.h is linear and
-    the support runs from one finite end to a root of phi or to infinity,
-    C is in closed form (`cs.linear_integral`); elsewhere it comes from the
-    double-exponential rule.
+    constant is computed, by `TsallisSolution.integrals`, as the averages
+    are.  `domain` optionally restricts the support (e.g. a half-line for
+    mean constraints).  Raises NonNormalizableError before any quadrature
+    where `cs.divergence` finds the integral divergent.
     """
     qi = as_qindex(q)
     support = qexp_support(qi, cs, anchor=anchor)
     if domain is not None:
         support = support.intersect(domain)
-    found = cs.divergence(qi, support)
-    if found is not None:
-        exponent, why = found
-        raise NonNormalizableError(f"the normalization integral diverges at q = {qi.q!r}: "
-                                   f"the integrand {why}", tail_exponent=exponent)
-
     shape = TsallisSolution(C=1.0, q=qi, cs=cs, support=support)
-    z = cs.linear_integral(qi, support)
-    if z is None:
-        z = integrate_de(shape.density, support, quad)
+    return replace(shape, C=1.0 / _normalization(shape, quad))
+
+
+def _normalization(shape: TsallisSolution, quad: QuadratureSpec) -> float:
+    """The integral of `shape` over its support (`TsallisSolution.integrals`):
+    NonNormalizableError where it diverges or is not finite and positive."""
+    z, = shape.integrals([(1.0, None)], quad)
+    if isinstance(z, NonIntegrableError):
+        raise NonNormalizableError(f"the normalization integral diverges at q = "
+                                   f"{shape.q.q!r}: {z}", tail_exponent=z.tail_exponent)
+    if isinstance(z, QBridgeError):
+        raise z
     if not (math.isfinite(z) and z > 0.0):
         raise NonNormalizableError(f"normalization integral evaluated to {z!r}")
-    return replace(shape, C=1.0 / z)
+    return z
 
 
 def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
@@ -705,9 +763,12 @@ def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
     """The Shannon solution matched to `tsallis` through `map_`.
 
     Same multipliers: exp(-lam.h(u)) normalized on the image of the
-    Tsallis support under u(x).  A closed end of the Tsallis support, where
-    its density is positive, closes the end of the image it maps to: the
-    lower one where g > 0, the upper one where g < 0.  Raises
+    Tsallis support under u(x).  That is the q = 1 member of the
+    q-exponential family, so `TsallisSolution.integrals` takes its
+    normalization, in closed form for a linear lam.h on an image with one
+    finite end.  A closed end of the Tsallis support, where its density is
+    positive, closes the end of the image it maps to: the lower one where
+    g > 0, the upper one where g < 0.  Raises
     EdgeSingularityError when g vanishes inside the Tsallis support: u(x)
     then carries only the part of it on the anchor's side of the zero,
     whose Tsallis mass is below 1, so no normalized density matches.
@@ -722,8 +783,8 @@ def shannon_partner(tsallis: TsallisSolution, map_: TransformMap,
             f"no normalized Shannon density matches", edge=zero)
     closed = (support.closed_lower, support.closed_upper)[::map_.orientation]
     domain = SupportInterval(u_lo, u_hi, closed_lower=closed[0], closed_upper=closed[1])
-    shape = ShannonSolution(mu=0.0, cs=tsallis.cs, domain=domain)
-    return replace(shape, mu=math.log(integrate_de(shape.density, domain, quad)))
+    z = _normalization(TsallisSolution(C=1.0, q=QIndex(1.0), cs=tsallis.cs, support=domain), quad)
+    return ShannonSolution(mu=math.log(z), cs=tsallis.cs, domain=domain)
 
 
 def _same_constraints(a: ConstraintSet, b: ConstraintSet) -> bool:

@@ -4,15 +4,14 @@
 array of nodes on the nested double-exponential rule (Takahasi & Mori,
 Publ. RIMS 9 (1974) 721), each row accepted at its own level by level
 halving, and reports a row it cannot certify as None.  It serves the
-Tsallis side: normalization, the Shannon partner and the averages, whose
-phi^{1/(1-q)} edges and power-law tails the rule handles.
-`integrate_de` is its one-row case, and hands a function the rule cannot
-certify to `integrate`.
+Tsallis side, whose phi^{1/(1-q)} edges and power-law tails the rule
+handles: `maxent.TsallisSolution.integrals` takes every normalization and
+average there, and hands a row the rule cannot certify to `integrate`.
 
 Improper integrals of one scalar function go through `integrate`, which
 wraps scipy's QUADPACK routines.  Infinite endpoints are handled by
 QUADPACK's internal monotone substitution; if that fails to converge, the
-tail is truncated where its remaining mass falls below `tail_mass_cut`.
+tail is truncated where its remaining mass falls below TAIL_MASS_CUT.
 
 `integrate_rows` integrates several functions that share their nodes,
 over several pieces at once, by an adaptive Gauss-Kronrod (G10K21) rule
@@ -40,13 +39,15 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import ConfigurationError, QuadratureError, RangeError
 from .qkernel import SupportInterval
 
-__all__ = ["QuadratureSpec", "integrate", "integrate_de", "integrate_de_rows", "integrate_rows",
+__all__ = ["QuadratureSpec", "integrate", "integrate_de_rows", "integrate_rows",
            "path_integral", "de_rule"]
 
 DE_T_MAX = 4.0       # trapezoid range in t: |pi/2 sinh t| <= 42.9 at the outermost nodes
 DE_START_LEVEL = 4   # step 1/16, 129 nodes: the first level a moment pass tries
 DE_MAX_LEVEL = 11    # finest step 2^-11, 16385 nodes
 RULE_CACHE_SIZE = 16  # DE rules (and moment matrices) kept per process, each one level
+MAX_SUBDIVISIONS = 200   # QUADPACK's limit, and the Gauss-Kronrod budget per piece
+TAIL_MASS_CUT = 1e-12    # `integrate` cuts an infinite tail where less mass than this remains
 
 # The Gauss-Kronrod pair G10K21 on [-1, 1], as in scipy's quad_vec: the
 # non-negative Kronrod nodes from the outermost in, and their weights; the
@@ -105,21 +106,15 @@ _R1_STEPS, _R1_WEIGHTS = _first_round_table()
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy for all improper integrals."""
+    """Tolerances for all improper integrals."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    tail_mass_cut: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ConfigurationError("quadrature tolerances must be positive and finite, got "
                                      f"rel_tol = {self.rel_tol!r}, abs_tol = {self.abs_tol!r}")
-        if self.max_subdivisions < 16:
-            raise ConfigurationError("max_subdivisions must be at least 16")
-        if not (0.0 < self.tail_mass_cut <= 1e-10):
-            raise ConfigurationError("tail_mass_cut must be in (0, 1e-10]")
 
     def tightened(self, factor: float) -> "QuadratureSpec":
         """Same policy with tolerances divided by `factor` (for re-checks)."""
@@ -134,29 +129,29 @@ def _quad(f: Callable[[float], float], a: float, b: float,
         warnings.simplefilter("error", IntegrationWarning)
         try:
             value, err = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                              limit=spec.max_subdivisions)
+                              limit=MAX_SUBDIVISIONS)
             return value, err, True
         except IntegrationWarning:
             pass
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         value, err = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                          limit=spec.max_subdivisions)
+                          limit=MAX_SUBDIVISIONS)
     return value, err, False
 
 
 def truncated_bound(f: Callable[[float], float], start: float, sign: float,
                     spec: QuadratureSpec) -> float:
     """Finite cutoff T (in direction `sign`) beyond which the remaining
-    mass of f is below tail_mass_cut, estimated by doubling windows."""
+    mass of f is below TAIL_MASS_CUT, estimated by doubling windows."""
     t = max(1.0, abs(start) * 2.0)
     for _ in range(120):
         seg, _, _ = _quad(f, sign * t, sign * 2.0 * t, spec)
-        if abs(seg) < spec.tail_mass_cut:
+        if abs(seg) < TAIL_MASS_CUT:
             return sign * 2.0 * t
         t *= 2.0
     raise QuadratureError(
-        f"tail mass never fell below {spec.tail_mass_cut!r}; integral likely divergent")
+        f"tail mass never fell below {TAIL_MASS_CUT!r}; integral likely divergent")
 
 
 def integrate(f: Callable[[float], float], interval: SupportInterval,
@@ -165,7 +160,7 @@ def integrate(f: Callable[[float], float], interval: SupportInterval,
 
     Raises QuadratureError (carrying the best estimate and its error
     bound) if the target accuracy max(abs_tol, rel_tol*|result|) cannot
-    be certified within max_subdivisions.
+    be certified within MAX_SUBDIVISIONS.
     """
     a, b = interval.lower, interval.upper
     value, err, ok = _quad(f, a, b, spec)
@@ -181,7 +176,7 @@ def integrate(f: Callable[[float], float], interval: SupportInterval,
             ok = False
     if not ok and err > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0:
         raise QuadratureError(
-            f"quadrature did not converge within {spec.max_subdivisions} "
+            f"quadrature did not converge within {MAX_SUBDIVISIONS} "
             f"subdivisions (estimate {value!r}, error bound {err!r})",
             estimate=value, error_bound=err)
     return value
@@ -234,7 +229,7 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
     each row's error is at most max(abs_tol, rel_tol * integral of |row|).
 
     Raises QuadratureError when f is not finite at a node (it overflows),
-    or when the sub-intervals would exceed max_subdivisions per piece (f
+    or when the sub-intervals would exceed MAX_SUBDIVISIONS per piece (f
     does not decay toward an infinite end, or is not smooth enough).
     """
     def side(direction: float, origin: float) -> tuple[float, float, float, float]:
@@ -251,7 +246,7 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
             spans.append(side(-1.0, b))
         else:
             spans.append((a, b, 0.0, 0.0))
-    budget = spec.max_subdivisions * len(spans)
+    budget = MAX_SUBDIVISIONS * len(spans)
     lo = None       # the sub-intervals in t, as _gk21 reads them, once a round splits
     # a node or weight that overflows, and so a value, is caught by its row's mass
     with np.errstate(all="ignore"):
@@ -277,7 +272,7 @@ def integrate_rows(f: Callable[[np.ndarray], np.ndarray],
             if lo.size + np.count_nonzero(split) > budget:
                 worst = max(range(len(tol)), key=lambda i: bound[i] / tol[i])
                 raise QuadratureError(
-                    f"Gauss-Kronrod pass did not converge within {spec.max_subdivisions} "
+                    f"Gauss-Kronrod pass did not converge within {MAX_SUBDIVISIONS} "
                     f"sub-intervals per piece (row {worst}: estimate "
                     f"{float(value[worst].sum())!r}, error bound {bound[worst]!r})",
                     estimate=float(value[worst].sum()), error_bound=bound[worst])
@@ -396,15 +391,3 @@ def integrate_de_rows(f: Callable, m: int, interval: SupportInterval,
                 break
     return values
 
-
-def integrate_de(f: Callable, interval: SupportInterval, spec: QuadratureSpec) -> float:
-    """Integral of f over `interval` on the nested double-exponential rule,
-    or by `integrate` where that rule cannot certify it.
-
-    f maps a numpy array of nodes to an array of values: this is the
-    m = 1 case of `integrate_de_rows`, whose tests decide when the rule
-    certifies the integral.  Where it does not, the same f goes to
-    QUADPACK's `integrate`, which calls it with one float at a time.
-    """
-    value, = integrate_de_rows(f, 1, interval, spec)
-    return integrate(f, interval, spec) if value is None else value

@@ -601,9 +601,16 @@ def _require_classical_shift(spec: TransformSpec) -> None:
 
 
 def _path(spec: TransformSpec, x: float) -> float:
-    """u(x) as the path integral of 1/g from the anchor; x may be infinite."""
-    return spec.anchor_u + path_integral(lambda s: 1.0 / g_general(s, spec),
-                                         spec.anchor_x, x, spec.quad)
+    """u(x) as the path integral of 1/g from the anchor; x may be infinite.
+    Raises EdgeSingularityError where the integrand meets a point at which
+    g rounds to 0, as TransformMap.J does."""
+    def inverse_g(s: float) -> float:
+        g = g_general(s, spec)
+        if g == 0.0 or math.isinf(1.0 / g):
+            raise EdgeSingularityError(f"inverse Jacobian vanishes at x = {s!r}", edge=s)
+        return 1.0 / g
+
+    return spec.anchor_u + path_integral(inverse_g, spec.anchor_x, x, spec.quad)
 
 
 def _edge_path(spec: TransformSpec, edge: float, direction: float) -> float:
@@ -615,9 +622,8 @@ def _edge_path(spec: TransformSpec, edge: float, direction: float) -> float:
     s (b1 + b2 s + ...) keeps its relative precision as s -> 0.
     """
     qi, c = spec.q, spec.c
-    coeffs = _margin_coefficients(qi.q, spec.cs)
-    shifted = np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([edge, -direction]))
-    b = [0.0] + shifted.coef.tolist()[1:]
+    shifted = _taylor_shift(_margin_coefficients(qi.q, spec.cs), edge)     # phi(edge + y)
+    b = [0.0] + [a * (-direction) ** k for k, a in enumerate(shifted) if k]
 
     def inverse_g(s: float) -> float:
         phi = _horner(b, s)

@@ -105,19 +105,6 @@ def check_square_integrable(h: qb.ConstraintFn, density: Callable[[float], float
     return math.isfinite(value)
 
 
-@dataclass(frozen=True)
-class SupportedDensity:
-    """Adapter pairing a bare evaluator with its support interval."""
-
-    evaluator: Callable[[float], float]
-    support: qb.SupportInterval
-
-    def density(self, x):
-        """The evaluator where x lies in the support, else 0; x is a float or
-        a numpy array of nodes, as the averages pass them."""
-        return np.where(self.support.contains(x), self.evaluator(x), 0.0)
-
-
 def slope_matches_finite_difference(cs: qb.ConstraintSet, grid: Sequence[float],
                                     step: float = 1e-6,
                                     rel_tol: float = 1e-8) -> bool:

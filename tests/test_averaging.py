@@ -11,7 +11,6 @@ import qbridge.quadrature as Q
 from qbridge import ConstraintFn, SupportInterval
 
 from conftest import HALF_LINE, identity_cs
-from oracles import SupportedDensity
 
 ONE = ConstraintFn((1.0,))
 X = ConstraintFn.identity()
@@ -21,6 +20,12 @@ X = ConstraintFn.identity()
 def cutoff_density(quad):
     # 1.5 (1 - x/2)^2 on [0, 2)
     return qb.normalize_tsallis(0.5, identity_cs(), quad, domain=HALF_LINE)
+
+
+@pytest.fixture
+def triangle_density(quad):
+    # the q = 0 member of the family: 2 (1 - x) on [0, 1]
+    return qb.normalize_tsallis(0.0, identity_cs(), quad, domain=HALF_LINE)
 
 
 @pytest.fixture
@@ -34,12 +39,10 @@ def test_linear_mean_of_one_is_one(cutoff_density, exp_density, quad):
     assert qb.mean_linear(exp_density, ONE, quad) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_linear_mean_values(cutoff_density, exp_density, quad):
+def test_linear_mean_values(cutoff_density, exp_density, triangle_density, quad):
     assert qb.mean_linear(cutoff_density, X, quad) == pytest.approx(0.5, rel=1e-10)
     assert qb.mean_linear(exp_density, X, quad) == pytest.approx(1.0, rel=1e-10)
-    # a density without q: a pass of the one row p A
-    triangle = SupportedDensity(lambda x: 2.0 * (1.0 - x), SupportInterval(0.0, 1.0))
-    assert qb.mean_linear(triangle, X, quad) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert qb.mean_linear(triangle_density, X, quad) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_escort_norm_is_one_at_classical(exp_density, quad):
@@ -47,10 +50,10 @@ def test_escort_norm_is_one_at_classical(exp_density, quad):
                                                                        rel=1e-10)
 
 
-def test_escort_norm_triangle_density(quad):
-    triangle = SupportedDensity(lambda x: 2.0 * (1.0 - x), SupportInterval(0.0, 1.0))
-    assert qb.escort_norm(triangle, 2.0, quad).x_q == pytest.approx(4.0 / 3.0,
-                                                                    rel=1e-10)
+def test_escort_norm_triangle_density(triangle_density, quad):
+    assert (triangle_density.support.lower, triangle_density.support.upper) == (0.0, 1.0)
+    assert qb.escort_norm(triangle_density, 2.0, quad).x_q == pytest.approx(4.0 / 3.0,
+                                                                            rel=1e-10)
 
 
 def test_escort_norm_cutoff_fixture(cutoff_density, quad):
@@ -237,9 +240,10 @@ def test_equal_observables_share_one_pass(monkeypatch, quad):
     assert A.Observable is ConstraintFn and not hasattr(qb, "Observable")
 
 
-def test_a_heavy_mean_goes_to_quadpack_alone_each_time(monkeypatch, quad):
+def test_a_heavy_mean_goes_to_quadpack_once(monkeypatch, quad):
     # x^2 on the half-line at q = 1.98: the rule cannot certify int x p, whose
-    # integrand decays as x^-1.04; p^q A and p^q it can
+    # integrand decays as x^-1.04; p^q A and p^q it can.  QUADPACK's value is
+    # kept with the pass.
     p = qb.normalize_tsallis(1.98, qb.ConstraintSet((ConstraintFn.square(),), (1.0,)), quad,
                              domain=HALF_LINE)
     a = ConstraintFn.identity()
@@ -249,9 +253,10 @@ def test_a_heavy_mean_goes_to_quadpack_alone_each_time(monkeypatch, quad):
     monkeypatch.setattr(Q, "integrate", lambda f, *rest: calls.append(f) or real(f, *rest))
     for _ in range(2):
         assert qb.mean_linear(p, a, quad) == pytest.approx(16.19687273649347, rel=1e-9)
+    assert passes == [3] and len(calls) == 1
     qb.mean_ct(p, a, 1.98, quad)
     qb.escort_norm(p, 1.98, quad)
-    assert passes == [3] and len(calls) == 2
+    assert passes == [3] and len(calls) == 1
 
 
 def _outcome(compute):
@@ -262,13 +267,15 @@ def _outcome(compute):
 
 
 def _single_integrals(p, a, q, quad):
-    """The averages as one integrate_de call each: the reference that the
-    shared pass reproduces bit for bit."""
+    """The averages as one integral each, a one-row double-exponential pass
+    or else QUADPACK: the reference that the shared pass reproduces bit for
+    bit."""
     def screened(power, degree, f):
         found = p.cs.divergence(p.q, p.support, power, degree)
         if found is not None:
             raise qb.NonIntegrableError("an average diverges", tail_exponent=found[0])
-        return Q.integrate_de(f, p.support, quad)
+        value, = Q.integrate_de_rows(f, 1, p.support, quad)
+        return Q.integrate(f, p.support, quad) if value is None else value
 
     def x_q():
         try:

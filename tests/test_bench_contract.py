@@ -145,3 +145,36 @@ def test_one_fit_op_makes_the_counted_passes(monkeypatch):
     for averages in op["averages"]:     # q = 0.5 and 1.2 on the half-line: closed forms
         worker.averages(averages)
     assert (counts["passes"], counts["roots"], counts["quad"]) == (0, 0, 0)
+
+
+def test_the_tsallis_integrals_make_the_counted_screens_and_passes(monkeypatch, capsys):
+    # every normalization and average of the q-exponential family goes through
+    # TsallisSolution.integrals, which screens each row once
+    import qbridge.averaging as averaging
+    import qbridge.cli as cli
+    import qbridge.quadrature as quadrature
+    from qbridge.transform import ConstraintSet
+    counts = {name: 0 for name in ("divergence", "passes", "quadpack")}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(ConstraintSet, "divergence",
+                        counting("divergence", ConstraintSet.divergence))
+    monkeypatch.setattr(quadrature, "integrate_de_rows",
+                        counting("passes", quadrature.integrate_de_rows))
+    monkeypatch.setattr(quadrature, "integrate", counting("quadpack", quadrature.integrate))
+    averaging._pass.cache_clear()
+    for averages in workloads.in_process_op("fit-moments", 1, "w0", 0)["averages"]:
+        worker.averages(averages)
+    # per call: the normalization's row, then one pass of three rows, all in
+    # closed form
+    assert counts == {"divergence": 8, "passes": 0, "quadpack": 0}
+    # the Shannon partner of h = x on the half-line is in closed form too
+    counts.update(divergence=0)
+    assert cli.main(workloads.cli_setup_op(1, 0)["argv"]) == 0
+    capsys.readouterr()
+    assert counts["passes"] == 0 and counts["quadpack"] == 0

@@ -1,9 +1,10 @@
 """The Tsallis-side integrals on the nested double-exponential rule.
 
 `normalize_tsallis`, `shannon_partner` and the four averages integrate on
-`quadrature.integrate_de`, with QUADPACK's `integrate` as the fallback
-where the rule cannot certify a result (a linear lam.h whose support ends
-at a root of phi or at infinity is in closed form instead).  scipy's
+`quadrature.integrate_de_rows`, through `TsallisSolution.integrals`, with
+QUADPACK's `integrate` as the fallback for a row the rule cannot certify
+(a linear lam.h whose support ends at a root of phi or at infinity is in
+closed form instead).  scipy's
 `quad` at epsrel = 1e-12, on scalar integrands written out here, is the
 oracle; the fallback examples pin QUADPACK's values.
 """
@@ -147,20 +148,42 @@ def test_heavy_mean_falls_back_to_quadpack(monkeypatch):
     lambda x: 1.0 / (1.0 + x) ** 1.5,
     lambda x: np.where(x > 3.0, np.inf, np.exp(-x)) if np.ndim(x) else math.exp(-x),
 ], ids=["heavy tail", "tail past the last node", "not finite on the nodes"])
-def test_uncertified_integrals_go_to_quadpack(monkeypatch, f):
-    calls = []
-    monkeypatch.setattr(Q, "integrate", lambda *a: calls.append(a) or 1.25)
-    assert Q.integrate_de(f, HALF_LINE, QUAD) == 1.25
-    assert len(calls) == 1 and calls[0][0] is f
+def test_uncertified_integrals_go_to_quadpack(f):
+    # the rule leaves the row uncertified; TsallisSolution.integrals then
+    # sends it alone to `integrate` (test_heavy_mean_falls_back_to_quadpack)
+    assert Q.integrate_de_rows(f, 1, HALF_LINE, QUAD) == [None]
 
 
-def test_an_overflowing_integrand_goes_to_quadpack(monkeypatch):
+def test_an_overflowing_integrand_goes_to_quadpack():
     def f(x):
         if np.ndim(x):
             raise qb.RangeError("overflows")
         return math.exp(-x)
 
-    assert Q.integrate_de(f, HALF_LINE, QUAD) == pytest.approx(1.0, rel=1e-12)
+    assert Q.integrate_de_rows(f, 1, HALF_LINE, QUAD) == [None]
+    assert Q.integrate(f, HALF_LINE, QUAD) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_an_uncertified_row_goes_alone_to_quadpack_and_is_kept(monkeypatch):
+    # TsallisSolution.integrals hands a row the pass leaves uncertified to
+    # `integrate` alone, with a scalar integrand, and keeps its value or error
+    p = qb.normalize_tsallis(0.5, ConstraintSet((ConstraintFn.square(),), (1.0,)), QUAD,
+                             domain=REAL_LINE)
+    rows = [(1.0, X), (0.5, None)]
+    certified = p.integrals(rows, QUAD)
+    real = Q.integrate_de_rows
+    monkeypatch.setattr(Q, "integrate_de_rows", lambda f, m, *a: [None, *real(f, m, *a)[1:]])
+    calls = []
+    monkeypatch.setattr(Q, "integrate", lambda f, *a: calls.append(f) or 1.25)
+    assert p.integrals(rows, QUAD) == [1.25, certified[1]]
+    assert len(calls) == 1 and calls[0](0.3) == p.density(0.3) * 0.3
+
+    def fails(*args):
+        raise qb.QuadratureError("did not converge")
+
+    monkeypatch.setattr(Q, "integrate", fails)
+    found = p.integrals(rows, QUAD)
+    assert isinstance(found[0], qb.QuadratureError) and found[1] == certified[1]
 
 
 def test_each_row_is_accepted_at_its_own_level():
@@ -180,12 +203,35 @@ def test_each_row_is_accepted_at_its_own_level():
 
 def test_the_rule_integrates_an_edge_singularity_and_a_power_tail():
     edge = SupportInterval(0.0, 2.0)
-    assert Q.integrate_de(lambda x: np.sqrt(2.0 - x), edge, QUAD) == \
+    assert Q.integrate_de_rows(lambda x: np.sqrt(2.0 - x), 1, edge, QUAD)[0] == \
         pytest.approx(2.0 * 2.0 ** 1.5 / 3.0, rel=1e-13)
-    assert Q.integrate_de(lambda x: (1.0 + x) ** -3.0, HALF_LINE, QUAD) == \
+    assert Q.integrate_de_rows(lambda x: (1.0 + x) ** -3.0, 1, HALF_LINE, QUAD)[0] == \
         pytest.approx(0.5, rel=1e-13)
-    assert Q.integrate_de(lambda x: np.exp(-x * x), REAL_LINE, QUAD) == \
+    assert Q.integrate_de_rows(lambda x: np.exp(-x * x), 1, REAL_LINE, QUAD)[0] == \
         pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
+# ------------------------------------------------------- the Shannon partner
+
+# For h = x the partner e^{-mu} e^{-lam u} on u's image is the q = 1 member
+# of the linear family, so its normalization is in closed form where the
+# image runs to infinity (a support end at a root of phi, or at infinity),
+# and a one-row pass on a finite image.
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.05, 1.95), lam=st.floats(0.2, 5.0),
+       end=st.just(math.inf) | st.floats(0.1, 5.0))
+@example(q=0.5, lam=1.0, end=math.inf)
+@example(q=1.5, lam=2.0, end=math.inf)
+@example(q=1.0, lam=1.0, end=math.inf)
+@example(q=1.3, lam=0.7, end=2.0)
+def test_the_linear_shannon_partner_matches_its_one_row_pass(q, lam, end):
+    cs = ConstraintSet((X,), (lam,))
+    t = qb.normalize_tsallis(q, cs, QUAD, domain=SupportInterval(0.0, end))
+    s = qb.shannon_partner(t, qb.TransformMap.from_spec(qb.TransformSpec(qb.QIndex(q), cs)),
+                           QUAD)
+    z, = Q.integrate_de_rows(M.ShannonSolution(0.0, cs, s.domain).density, 1, s.domain, QUAD)
+    assume(z is not None)
+    assert abs(s.mu - math.log(z)) <= 1e-14 * max(1.0, abs(s.mu))
 
 
 # ------------------------------------------------------------ no QUADPACK call

@@ -126,11 +126,11 @@ def test_non_finite_or_non_decaying_rows_raise(f):
         integrate_rows(f, [HALF_LINE], CHECK, lambda a: 1.0)
 
 
-def test_budget_is_max_subdivisions_per_piece():
-    spec = QuadratureSpec(max_subdivisions=16)   # the first round only
+def test_budget_is_max_subdivisions_per_piece(monkeypatch):
+    monkeypatch.setattr(qb.quadrature, "MAX_SUBDIVISIONS", 16)   # the first round only
     with pytest.raises(qb.QuadratureError, match="did not converge") as err:
         integrate_rows(lambda x: np.abs(x - 0.3)[None] ** 0.5, [SupportInterval(0.0, 1.0)],
-                       spec, lambda a: 1.0)
+                       QuadratureSpec(), lambda a: 1.0)
     assert err.value.estimate == pytest.approx(0.3 ** 1.5 / 1.5 + 0.7 ** 1.5 / 1.5, rel=1e-3)
 
 

@@ -295,6 +295,19 @@ def test_path_crossing_zero_raises_for_nonzero_constant():
     assert err.value.edge == 8.0
 
 
+def test_a_path_through_a_point_where_g_rounds_to_zero_raises_the_typed_error():
+    # QUADPACK samples x where g = phi/(2-q) + c phi^(1/(q-1)) rounds to 0:
+    # 1/g is an EdgeSingularityError there, as TransformMap.J has it, not a
+    # ZeroDivisionError
+    h = ConstraintFn.polynomial((1.1593841189313698, 0.7607167147237921, 0.13061123140726494,
+                                 0.029474539278921075, 0.7614733195989484))
+    spec = TransformSpec(QIndex(1.9014849146773696), ConstraintSet((h,), (1.0,)),
+                         c=-0.3037914730258622)
+    with pytest.raises(qb.EdgeSingularityError) as err:
+        qb.x_of_u(-0.2967511626245578, spec)
+    assert qb.g_general(err.value.edge, spec) == 0.0
+
+
 X, X2 = (0.0, 1.0), (0.0, 0.0, 1.0)
 INF = math.inf
 # (q, lam.h, c, ends of u's image): an end is +-inf, or the x at which the
